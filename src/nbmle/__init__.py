@@ -52,7 +52,6 @@ from .identities import (
 )
 from .mixture import (
     QuadratureSpec,
-    QuadScheme,
     gamma_density,
     mixture_pmf,
     nb_mean_bruteforce,

@@ -57,22 +57,63 @@ class GradHess:
             raise DomainError("derivative blocks must be finite")
 
 
+def _theta_bracket(y: np.ndarray, lam: np.ndarray, theta: float) -> np.ndarray:
+    """Per-observation smooth part of the second theta-derivative."""
+    t = theta * lam
+    one = 1.0 + t
+    return (theta * (1.0 + 2.0 * t) * (y - lam) - t * one) / one**2 + 2.0 * np.log1p(t)
+
+
+def grad_hess(ds: Dataset, p: Params) -> GradHess:
+    """Evaluate every derivative block at (beta, theta) in one pass.
+
+    The link, 1 + theta*lam, y - lam and the per-observation finite sums
+    are computed once and shared by all five blocks.
+    """
+    theta = p.theta
+    u = 1.0 / theta
+    y, X = ds.y, ds.X
+    lam = link_mean(X, p.beta).lam
+    t = theta * lam
+    one = 1.0 + t
+    resid = y - lam
+    sums = _per_obs_sums(y, u, want_recip=True, want_weights=True)
+    u3 = u * u * u
+    h_bb = -(X.T * (lam * (1.0 + theta * y) / one ** 2)) @ X
+    return GradHess(
+        score_beta=X.T @ (resid / one),
+        score_theta=float(np.sum(
+            u * u * (-sums["recip"] + np.log1p(t)) + resid / (theta * one)
+        )),
+        h_bb=0.5 * (h_bb + h_bb.T),
+        h_bt=-(X.T @ (lam * resid / one ** 2)),
+        h_tt=float(np.sum(u3 * sums["weights"] - u3 * _theta_bracket(y, lam, theta))),
+    )
+
+
 def score_beta(ds: Dataset, p: Params) -> np.ndarray:
     """Gradient of the log-likelihood with respect to beta."""
-    lam = link_mean(ds.X, p.beta).lam
-    w = (ds.y - lam) / (1.0 + p.theta * lam)
-    return ds.X.T @ w
+    return grad_hess(ds, p).score_beta
 
 
 def score_theta(ds: Dataset, p: Params) -> float:
     """Derivative of the log-likelihood with respect to theta (finite-sum form)."""
-    theta = p.theta
-    u = 1.0 / theta
-    lam = link_mean(ds.X, p.beta).lam
-    t = theta * lam
-    sums = _per_obs_sums(ds.y, u, want_recip=True)["recip"]
-    terms = u * u * (-sums + np.log1p(t)) + (ds.y - lam) / (theta * (1.0 + t))
-    return float(np.sum(terms))
+    return grad_hess(ds, p).score_theta
+
+
+def hessian_beta_beta(ds: Dataset, p: Params) -> np.ndarray:
+    """Hessian block in beta; symmetric negative semidefinite for y >= 0."""
+    return grad_hess(ds, p).h_bb
+
+
+def hessian_beta_theta(ds: Dataset, p: Params) -> np.ndarray:
+    """Cross partial d2/dbeta dtheta."""
+    return grad_hess(ds, p).h_bt
+
+
+def hessian_theta(ds: Dataset, p: Params) -> float:
+    """Second derivative of the log-likelihood in theta (finite-sum form)."""
+    return grad_hess(ds, p).h_tt
 
 
 def score_theta_gamma_form(ds: Dataset, p: Params) -> float:
@@ -92,24 +133,6 @@ def score_theta_gamma_form(ds: Dataset, p: Params) -> float:
     return float(np.sum(terms))
 
 
-def _theta_bracket(y: np.ndarray, lam: np.ndarray, theta: float) -> np.ndarray:
-    """Per-observation smooth part of the second theta-derivative."""
-    t = theta * lam
-    one = 1.0 + t
-    return (theta * (1.0 + 2.0 * t) * (y - lam) - t * one) / one**2 + 2.0 * np.log1p(t)
-
-
-def hessian_theta(ds: Dataset, p: Params) -> float:
-    """Second derivative of the log-likelihood in theta (finite-sum form)."""
-    theta = p.theta
-    u = 1.0 / theta
-    lam = link_mean(ds.X, p.beta).lam
-    sums = _per_obs_sums(ds.y, u, want_weights=True)["weights"]
-    u3 = u * u * u
-    terms = u3 * sums - u3 * _theta_bracket(ds.y, lam, theta)
-    return float(np.sum(terms))
-
-
 def hessian_theta_gamma_form(ds: Dataset, p: Params) -> float:
     """Literal gamma-function form of the second theta-derivative.
 
@@ -123,32 +146,6 @@ def hessian_theta_gamma_form(ds: Dataset, p: Params) -> float:
     tri = np.array([trigamma(y + u) - trigamma(u) if y else 0.0 for y in ds.y])
     terms = -u3 * _theta_bracket(ds.y, lam, theta) + tri
     return float(np.sum(terms))
-
-
-def hessian_beta_beta(ds: Dataset, p: Params) -> np.ndarray:
-    """Hessian block in beta; symmetric negative semidefinite for y >= 0."""
-    lam = link_mean(ds.X, p.beta).lam
-    w = lam * (1.0 + p.theta * ds.y) / (1.0 + p.theta * lam) ** 2
-    h = -(ds.X.T * w) @ ds.X
-    return 0.5 * (h + h.T)
-
-
-def hessian_beta_theta(ds: Dataset, p: Params) -> np.ndarray:
-    """Cross partial d2/dbeta dtheta."""
-    lam = link_mean(ds.X, p.beta).lam
-    w = lam * (ds.y - lam) / (1.0 + p.theta * lam) ** 2
-    return -(ds.X.T @ w)
-
-
-def grad_hess(ds: Dataset, p: Params) -> GradHess:
-    """Evaluate every derivative block at (beta, theta) in one pass."""
-    return GradHess(
-        score_beta=score_beta(ds, p),
-        score_theta=score_theta(ds, p),
-        h_bb=hessian_beta_beta(ds, p),
-        h_bt=hessian_beta_theta(ds, p),
-        h_tt=hessian_theta(ds, p),
-    )
 
 
 def finite_diff(f: Callable[[float], float], x0: float, h: float) -> float:

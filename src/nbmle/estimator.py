@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import GradHess, grad_hess, score_beta
+from .derivatives import GradHess, grad_hess
 from .exceptions import (
     AllZeroResponseError,
     CollinearColumnsError,
@@ -353,10 +353,10 @@ def _profile_iteration(ds, beta, z, ll, z_floor, opts, log_scale):
     b = beta.copy()
     for _ in range(60):
         params = Params(b, theta)
-        g = score_beta(ds, params)
+        gh = grad_hess(ds, params)
+        g = gh.score_beta
         if float(np.abs(g).max()) <= 0.1 * opts.grad_tol:
             break
-        gh = grad_hess(ds, params)
         d = _ascent_direction(gh.h_bb, g)
         step, cur = 1.0, loglik(ds, params)
         for _ in range(45):

@@ -9,10 +9,12 @@ closed form in the model module; the two must agree.
 
 The integration variable is rescaled to x = u * (lam + alpha), under which
 the integrand is proportional to x^(y + alpha - 1) e^(-x).  The upper
-cutoff comes from bounding the incomplete-gamma tail of that envelope, and
-the adaptive scheme bisects panels of a 7-point open rule, so the
-integrable endpoint singularity that appears when y + alpha < 1 is never
-evaluated directly.
+cutoff comes from bounding the incomplete-gamma tail of that envelope.
+Adaptive quadrature bisects panels of a 7-point Gauss-Legendre rule, whose
+nodes are interior, so the integrable endpoint singularity that appears
+when y + alpha < 1 is never evaluated directly.  The node-independent
+terms of the two log-densities (ln y!, alpha ln alpha - ln Gamma(alpha))
+are evaluated once per call, not once per node.
 
 The sampler draws u ~ Gamma(alpha, rate=alpha) then y ~ Poisson(lam * u)
 from numpy's PCG64 generator, so a seed pins the exact output stream.
@@ -22,7 +24,6 @@ numpy.random.SeedSequence(seed).spawn(k) rather than arithmetic on seeds.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -33,21 +34,11 @@ from .model import truncated_pmf_sum
 from .special import _require_count, _require_positive, ln_gamma
 
 
-class QuadScheme(enum.Enum):
-    ADAPTIVE_INTERVAL = "adaptive_interval"
-    FIXED_NODES = "fixed_nodes"
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the mixing-integral evaluation.
+    """Controls for the mixing-integral evaluation: the relative tolerance
+    and the cap on the number of panel bisections."""
 
-    With ADAPTIVE_INTERVAL, max_subdivisions caps the number of panel
-    bisections; with FIXED_NODES it is the number of equal panels of the
-    7-point rule (no error control).
-    """
-
-    scheme: QuadScheme = QuadScheme.ADAPTIVE_INTERVAL
     rel_tol: float = 1e-10
     max_subdivisions: int = 4000
 
@@ -122,11 +113,19 @@ def mixture_pmf(y: int, lam: float, alpha: float,
     alpha = _require_positive(alpha, "alpha")
     q = q or QuadratureSpec()
     scale = lam + alpha
+    # The terms of the log-densities that do not depend on the node; the
+    # integrand keeps the summation order of _log_poisson_pmf and
+    # _log_gamma_density.
+    ln_y_factorial = ln_gamma(y + 1.0)
+    ln_gamma_alpha = ln_gamma(alpha)
+    gamma_norm = alpha * math.log(alpha) - ln_gamma_alpha
 
     def integrand(x: float) -> float:
         u = x / scale
+        mu = lam * u
         return math.exp(
-            _log_poisson_pmf(y, lam * u) + _log_gamma_density(u, alpha)
+            (y * math.log(mu) - ln_y_factorial - mu)
+            + (gamma_norm + (alpha - 1.0) * math.log(u) - alpha * u)
         ) / scale
 
     s = y + alpha
@@ -158,13 +157,6 @@ def mixture_pmf(y: int, lam: float, alpha: float,
             (integrand, a, b) for a, b in zip(edges[:-1], edges[1:])
         )
 
-    if q.scheme is QuadScheme.FIXED_NODES:
-        total = 0.0
-        for f, lo, hi in pieces:
-            edges = np.linspace(lo, hi, q.max_subdivisions + 1)
-            total += sum(_panel(f, a, b) for a, b in zip(edges[:-1], edges[1:]))
-        return total
-
     seeds = [(f, a, b, _panel(f, a, b)) for f, a, b in pieces]
     rough = sum(v for *_, v in seeds)
     target = q.rel_tol * max(abs(rough), 1e-300)
@@ -173,8 +165,8 @@ def mixture_pmf(y: int, lam: float, alpha: float,
     # so its point evaluations carry relative noise of roughly eps times
     # that magnitude.  Panels whose error estimate sits at this floor are
     # converged; demanding less only subdivides rounding jitter.
-    log_magnitude = (abs(alpha * math.log(alpha)) + abs(ln_gamma(alpha))
-                     + abs(ln_gamma(y + 1.0)) + s * (1.0 + abs(math.log(scale))))
+    log_magnitude = (abs(alpha * math.log(alpha)) + abs(ln_gamma_alpha)
+                     + abs(ln_y_factorial) + s * (1.0 + abs(math.log(scale))))
     noise_rel = 32.0 * 2.220446049250313e-16 * max(log_magnitude, 1.0)
 
     total = 0.0

@@ -130,9 +130,10 @@ class Params:
 
 @dataclass(frozen=True)
 class LinkValues:
-    """Conditional means lambda_i = exp(x_i' beta)."""
+    """Linear predictors eta_i = x_i' beta and means lambda_i = exp(eta_i)."""
 
     lam: np.ndarray
+    eta: np.ndarray
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float)
@@ -154,7 +155,7 @@ def link_mean(X: np.ndarray, beta: np.ndarray) -> LinkValues:
     if np.any(bad):
         row = int(np.argmax(bad))
         raise LinearPredictorOverflow(row, float(eta[row]))
-    return LinkValues(np.exp(eta))
+    return LinkValues(np.exp(eta), eta)
 
 
 def nb_logpmf(y: int, lam: float, alpha: float) -> float:
@@ -240,8 +241,8 @@ def loglik(ds: Dataset, p: Params) -> float:
     """Log-likelihood in the dispersion parameterisation (beta, theta)."""
     theta = p.theta
     u = 1.0 / theta
-    lam = link_mean(ds.X, p.beta).lam
-    eta = ds.X @ p.beta
+    link = link_mean(ds.X, p.beta)
+    lam, eta = link.lam, link.eta
     y = ds.y
     sums = _per_obs_sums(y, u, want_log=True)["log"]
     terms = (

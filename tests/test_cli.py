@@ -239,14 +239,52 @@ class TestInfo:
                     "--theta", "1.0"]) == 1
 
 
-class TestEnvironment:
-    def test_invalid_thread_count_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NBMLE_NUM_THREADS", "zero")
-        assert run(["verify", "--grid", "0:1"]) == 1
+class TestContract:
+    """Usage errors, defaults and formats that the argument layer owns."""
 
-    def test_valid_thread_count_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NBMLE_NUM_THREADS", "4")
-        assert run(["verify", "--grid", "0:1"]) == 0
+    @pytest.mark.parametrize("command", ["simulate", "info"])
+    def test_unparseable_beta_exits_1(self, tmp_path, capsys, command):
+        if command == "simulate":
+            args = ["simulate", "--theta", 0.8, "--n", 10, "--seed", 1]
+        else:
+            args = ["info", "--input", simulate_to(tmp_path, n=50),
+                    "--theta", 0.8]
+        capsys.readouterr()
+        assert run(args + ["--beta", "0.5,abc"]) == 1
+        assert "cannot parse --beta '0.5,abc'" in capsys.readouterr().err
+
+    def test_missing_subcommand_exits_1(self):
+        assert run([]) == 1
+
+    def test_verify_seed_recorded(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--grid", "0:1", "--seed", 7, "--output", out]) == 0
+        assert json.loads(out.read_text())["seed"] == 7
+        assert run(["verify", "--grid", "0:1", "--output", out]) == 0
+        assert json.loads(out.read_text())["seed"] == 20260809
+
+    def test_fit_defaults_to_observed_information(self, tmp_path):
+        path = simulate_to(tmp_path, n=300, seed=4)
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--input", path, "--output", out]) == 0
+        assert json.loads(out.read_text())["info"]["kind"] == "observed"
+
+    def test_info_defaults_to_both(self, tmp_path):
+        path = simulate_to(tmp_path, n=50, seed=19)
+        out = tmp_path / "info.json"
+        assert run(["info", "--input", path, "--beta", "0.5,-0.3",
+                    "--theta", 0.8, "--output", out]) == 0
+        matrices = json.loads(out.read_text())["matrices"]
+        assert set(matrices) == {"observed", "expected"}
+
+    def test_info_text_prints_both_matrices(self, tmp_path):
+        path = simulate_to(tmp_path, n=50, seed=19)
+        out = tmp_path / "info.txt"
+        assert run(["info", "--input", path, "--beta", "0.5,-0.3",
+                    "--theta", 0.8, "--format", "text", "--output", out]) == 0
+        text = out.read_text()
+        assert "observed information matrix:" in text
+        assert "expected information matrix:" in text
 
 
 class TestDeterminism:

@@ -288,3 +288,32 @@ class TestGradHessContainer:
         np.testing.assert_array_equal(gh.score_beta, score_beta(ds, p))
         assert gh.h_tt == hessian_theta(ds, p)
         np.testing.assert_array_equal(gh.h_bb, gh.h_bb.T)
+
+
+class TestSharedLink:
+    """grad_hess and loglik each evaluate the link once per call."""
+
+    @pytest.fixture
+    def link_calls(self, monkeypatch):
+        import nbmle.derivatives
+        import nbmle.model
+
+        calls = []
+
+        def counting(X, beta):
+            calls.append(1)
+            return link_mean(X, beta)
+
+        monkeypatch.setattr(nbmle.derivatives, "link_mean", counting)
+        monkeypatch.setattr(nbmle.model, "link_mean", counting)
+        return calls
+
+    def test_grad_hess_one_link_evaluation(self, rng, link_calls):
+        ds, p = make_instance(rng)
+        grad_hess(ds, p)
+        assert len(link_calls) == 1
+
+    def test_loglik_one_link_evaluation(self, rng, link_calls):
+        ds, p = make_instance(rng)
+        loglik(ds, p)
+        assert len(link_calls) == 1

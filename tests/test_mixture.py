@@ -7,7 +7,6 @@ from nbmle import (
     DomainError,
     QuadratureConvergenceError,
     QuadratureSpec,
-    QuadScheme,
     gamma_density,
     mixture_pmf,
     nb_mean_bruteforce,
@@ -105,12 +104,6 @@ class TestMixturePmf:
             assert mixture_pmf(y, 1.0, 1e4) == pytest.approx(
                 poisson_pmf(y, 1.0), abs=1e-3
             )
-
-    def test_fixed_nodes_scheme(self):
-        q = QuadratureSpec(scheme=QuadScheme.FIXED_NODES, max_subdivisions=200)
-        assert mixture_pmf(2, 1.0, 2.0, q) == pytest.approx(
-            nb_pmf(2, 1.0, 2.0), abs=1e-8
-        )
 
     def test_nonconvergence_raises_with_achieved_tolerance(self):
         q = QuadratureSpec(rel_tol=1e-14, max_subdivisions=1)
