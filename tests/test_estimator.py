@@ -19,6 +19,7 @@ from nbmle import (
     standard_errors,
 )
 from conftest import simulate_dataset
+from nbmle.mixture import sample_counts
 
 RECOVERY = dict(seed=42, n=5000, beta=(0.5, -0.3), theta=0.8)
 
@@ -137,6 +138,36 @@ class TestNestedPoissonConsistency:
         np.testing.assert_allclose(res.beta_hat, ref, atol=1e-3)
 
 
+def _two_column_design(rng, n):
+    return np.hstack([np.ones((n, 1)), rng.standard_normal((n, 1))])
+
+
+class TestScaleInvariantConvergence:
+    """Large counts make |loglik| large; convergence must not depend on it."""
+
+    @pytest.mark.parametrize("seed", [2, 4, 6, 11, 15, 17, 18, 19])
+    def test_large_mean_gamma_mixture_converges(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 50_000
+        X = _two_column_design(rng, n)
+        y = rng.poisson(np.exp(X @ [6.0, 0.3]) * rng.gamma(20.0, 0.05, size=n))
+        ds = Dataset(y=y, X=X)
+        res = fit(ds)
+        assert res.converged, res.message
+        p = Params(res.beta_hat, res.theta_hat)
+        assert np.abs(score_beta(ds, p)).max() <= 1e-6
+
+    @pytest.mark.parametrize("theta", [0.01, 0.8, 50.0])
+    @pytest.mark.parametrize("beta0", [0.5, 3.0, 6.0, 8.0])
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_mean_and_dispersion_grid_converges(self, n, beta0, theta):
+        rng = np.random.default_rng([n, int(10 * beta0), int(100 * theta)])
+        X = _two_column_design(rng, n)
+        y = sample_counts(np.exp(X @ [beta0, 0.3]), theta, rng)
+        res = fit(Dataset(y=y, X=X))
+        assert res.converged, res.message
+
+
 class TestStandardErrors:
     def test_identity_info(self):
         info = InfoMatrix(kind=InfoKind.OBSERVED, m=np.eye(2))
@@ -183,7 +214,7 @@ class TestOptionsAndResult:
         with pytest.raises(ValueError):
             FitOptions(max_iter=0)
         with pytest.raises(ValueError):
-            FitOptions(grad_tol=-1.0)
+            FitOptions(tol=-1.0)
 
     def test_result_round_trips_losslessly(self, recovery_fit):
         import json
