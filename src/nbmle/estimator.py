@@ -4,12 +4,14 @@ The search runs in (beta, ln theta) so the dispersion stays positive
 without constraints; the chain factors are exact (d/d ln theta =
 theta * d/dtheta).  Every accepted step must not decrease the
 log-likelihood (step-halving line search).  The one stopping rule is the
-Newton decrement: when half of g . (-H)^-1 g in the search coordinates is
-at most FitOptions.tol, the last step is taken in full and the fit is
-converged.  The decrement is affine-invariant, so neither the scale of
-the data nor the parameterisation changes when it fires.  At the
-dispersion floor with a negative dispersion gradient the bound is active,
-so the step and the decrement are computed over beta alone.
+Newton decrement: when H is negative definite and half of g . (-H)^-1 g
+in the search coordinates is at most _DECREMENT_TOL, the last step is
+taken in full and the fit is converged.  The decrement is
+affine-invariant, so neither the scale of the data nor the
+parameterisation changes when it fires.  A regularised step proves
+nothing about stationarity and never stops the fit.  At the dispersion
+floor with a negative dispersion gradient the bound is active, so the
+step and the decrement are computed over beta alone.
 
 Only the finite-sum derivative forms are consumed here; the literal
 gamma-function forms exist for comparison, not estimation.
@@ -36,21 +38,18 @@ from .fisher import InfoKind, InfoMatrix, ThetaTruncationReport, expected_info, 
 from .model import DEFAULT_EPS_TAIL, Dataset, Params, loglik
 
 
+# The decrement g . (-H)^-1 g is the squared length of the remaining Newton
+# step measured in standard errors.  Half of it at 1e-6 leaves a step of
+# about 1e-3 standard errors, which the final full step then takes.
+# Smaller values run into the rounding floor of the log-likelihood (about
+# eps * sum |terms|, growing with n * y * ln y), below which the line
+# search cannot verify a gain.
+_DECREMENT_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class FitOptions:
-    """Newton stops when half the decrement is at most `tol`.
-
-    The decrement is g . (-H)^-1 g in the search coordinates: the squared
-    length of the remaining Newton step measured in standard errors, so it
-    does not depend on the scale of the data or on the parameterisation.
-    The default 1e-6 leaves a step of about 1e-3 standard errors, which the
-    final full step then takes.  Smaller values run into the rounding floor
-    of the log-likelihood (about eps * sum |terms|, growing with
-    n * y * ln y), below which the line search cannot verify a gain.
-    """
-
     max_iter: int = 100
-    tol: float = 1e-6
     info_kind: InfoKind = InfoKind.OBSERVED
     theta_floor: float = 1e-6
     eps_tail: float = DEFAULT_EPS_TAIL
@@ -58,7 +57,7 @@ class FitOptions:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if min(self.tol, self.theta_floor, self.eps_tail) <= 0:
+        if min(self.theta_floor, self.eps_tail) <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -196,8 +195,12 @@ def _search_gradient(gh: GradHess, theta: float, log_scale: bool):
     return g, H
 
 
-def _ascent_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Newton direction, regularised until it is an ascent direction."""
+def _ascent_direction(H: np.ndarray, g: np.ndarray):
+    """Newton direction, regularised until it is an ascent direction.
+
+    The flag is True only for the plain Newton step at a negative definite
+    H, the one case in which g . d is the Newton decrement.
+    """
     scale = max(1.0, float(np.abs(np.diag(H)).max()))
     tau = 0.0
     for _ in range(12):
@@ -206,9 +209,9 @@ def _ascent_direction(H: np.ndarray, g: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             d = None
         if d is not None and np.isfinite(d).all() and float(d @ g) > 0.0:
-            return d
+            return d, tau == 0.0 and bool(np.all(np.linalg.eigvalsh(H) < 0.0))
         tau = 1e-8 * scale if tau == 0.0 else tau * 100.0
-    return g / max(1.0, float(np.linalg.norm(g)))
+    return g / max(1.0, float(np.linalg.norm(g))), False
 
 
 def fit(ds: Dataset, opts: FitOptions | None = None, *,
@@ -247,13 +250,11 @@ def fit(ds: Dataset, opts: FitOptions | None = None, *,
         g, H = _search_gradient(grad_hess(ds, Params(beta, theta)), theta,
                                 log_theta_search)
         at_floor = z <= z_floor + (1e-9 if log_theta_search else 1e-9 * z_floor)
-        if at_floor and g[-1] < 0.0:
-            # The bound is active: step in beta alone.
-            d = np.append(_ascent_direction(H[:-1, :-1], g[:-1]), 0.0)
-        else:
-            d = _ascent_direction(H, g)
-        decrement = float(g @ d)
-        if 0.5 * decrement <= opts.tol:
+        # At the floor with g_z < 0 the bound is active: step in beta alone.
+        free = len(g) - 1 if at_floor and g[-1] < 0.0 else len(g)
+        d = np.zeros_like(g)
+        d[:free], newton = _ascent_direction(H[:free, :free], g[:free])
+        if newton and 0.5 * float(g @ d) <= _DECREMENT_TOL:
             # The line search cannot resolve a gain this small; take the
             # full step.
             beta, z = beta + d[:-1], max(z + d[-1], z_floor)

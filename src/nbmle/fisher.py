@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import _theta_bracket, grad_hess
+from .derivatives import grad_hess
 from .exceptions import DomainError, TruncationCapExceeded
 from .model import (
     DEFAULT_EPS_TAIL,
@@ -109,6 +109,13 @@ class InfoMatrix:
         }
 
 
+def _theta_bracket_scalar(y: float, lam: float, theta: float) -> float:
+    t = theta * lam
+    one = 1.0 + t
+    return (theta * (1.0 + 2.0 * t) * (y - lam) - t * one) / (one * one) \
+        + 2.0 * math.log1p(t)
+
+
 def brute_force_expected_neg_hessian(lam: float, theta: float,
                                      eps_tail: float = DEFAULT_EPS_TAIL) -> TruncatedSum:
     """E[-d2 lnL/dtheta2] for one observation, by direct pmf-weighted summation.
@@ -128,7 +135,6 @@ def brute_force_expected_neg_hessian(lam: float, theta: float,
     total = 0.0
     weight = 0.0
     tail = 1.0
-    brackets = []
     for y, pmf in _pmf_iter(lam, u):
         if y >= floor and tail < eps_tail * (abs(total) + 1.0):
             return TruncatedSum(total, y, max(tail, 0.0), weight)
@@ -137,11 +143,7 @@ def brute_force_expected_neg_hessian(lam: float, theta: float,
                 f"expectation not converged after {TRUNCATION_HARD_CAP} terms "
                 f"(lam={lam}, theta={theta})"
             )
-        if y == len(brackets):
-            # Blocks of counts doubling in length: one numpy call per count
-            # would cost more than the rest of the loop body.
-            brackets += _theta_bracket(np.arange(y, 2.0 * y + 64.0), lam, theta).tolist()
-        h_tt = u3 * cum_w - u3 * brackets[y]
+        h_tt = u3 * cum_w - u3 * _theta_bracket_scalar(y, lam, theta)
         total += -h_tt * pmf
         weight += pmf
         tail -= pmf

@@ -16,6 +16,7 @@ from nbmle import (
     fit,
     init_params,
     score_beta,
+    score_theta,
     standard_errors,
 )
 from conftest import simulate_dataset
@@ -157,15 +158,37 @@ class TestScaleInvariantConvergence:
         p = Params(res.beta_hat, res.theta_hat)
         assert np.abs(score_beta(ds, p)).max() <= 1e-6
 
+    @staticmethod
+    def _grid_dataset(n, beta0, theta):
+        rng = np.random.default_rng([n, int(10 * beta0), int(100 * theta)])
+        X = _two_column_design(rng, n)
+        return Dataset(y=sample_counts(np.exp(X @ [beta0, 0.3]), theta, rng), X=X)
+
+    @staticmethod
+    def _assert_stationary(ds, res):
+        # A stop on a regularised step would leave scores of many standard
+        # errors; in those units the test is free of the data's scale.
+        assert res.converged, res.message
+        p = Params(res.beta_hat, res.theta_hat)
+        in_se = np.abs(np.append(score_beta(ds, p), score_theta(ds, p))) * res.se
+        assert in_se[:-1 if res.boundary_theta else None].max() <= 1e-5
+
     @pytest.mark.parametrize("theta", [0.01, 0.8, 50.0])
     @pytest.mark.parametrize("beta0", [0.5, 3.0, 6.0, 8.0])
     @pytest.mark.parametrize("n", [200, 2000])
     def test_mean_and_dispersion_grid_converges(self, n, beta0, theta):
-        rng = np.random.default_rng([n, int(10 * beta0), int(100 * theta)])
-        X = _two_column_design(rng, n)
-        y = sample_counts(np.exp(X @ [beta0, 0.3]), theta, rng)
-        res = fit(Dataset(y=y, X=X))
-        assert res.converged, res.message
+        ds = self._grid_dataset(n, beta0, theta)
+        self._assert_stationary(ds, fit(ds))
+
+    def test_regularised_step_does_not_stop_the_fit(self, monkeypatch):
+        """Far below theta-hat, H is indefinite in ln theta, and g . d of the
+        regularised step is tiny although the dispersion score is not."""
+        import nbmle.estimator as est
+
+        ds = self._grid_dataset(200, 0.5, 0.01)
+        start = est.init_params
+        monkeypatch.setattr(est, "init_params", lambda d: Params(start(d).beta, 1e-5))
+        self._assert_stationary(ds, fit(ds))
 
 
 class TestStandardErrors:
@@ -214,7 +237,7 @@ class TestOptionsAndResult:
         with pytest.raises(ValueError):
             FitOptions(max_iter=0)
         with pytest.raises(ValueError):
-            FitOptions(tol=-1.0)
+            FitOptions(eps_tail=-1.0)
 
     def test_result_round_trips_losslessly(self, recovery_fit):
         import json
