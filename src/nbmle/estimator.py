@@ -33,6 +33,7 @@ from .exceptions import (
     AllZeroResponseError,
     CollinearColumnsError,
     InformationNotInvertible,
+    LinearPredictorOverflow,
 )
 from .fisher import InfoKind, InfoMatrix, ThetaTruncationReport, expected_info, observed_info
 from .model import DEFAULT_EPS_TAIL, Dataset, Params, loglik
@@ -268,7 +269,10 @@ def fit(ds: Dataset, opts: FitOptions | None = None, *,
         for _ in range(45):
             z_new = max(z + step * d[-1], z_floor)
             b_new = beta + step * d[:-1]
-            ll_new = ll_at(b_new, z_new)
+            try:
+                ll_new = ll_at(b_new, z_new)
+            except LinearPredictorOverflow:  # a rejected trial, not a bad input
+                ll_new = -math.inf
             if math.isfinite(ll_new) and ll_new >= ll:
                 break
             step *= 0.5

@@ -13,6 +13,11 @@ conventions are therefore computed side by side, the direct double sum is
 treated as definitional, and the element actually returned is the
 convention that matches the brute-force pmf-weighted negative Hessian.
 
+Every series reads one pmf table per observation, cut where a certified
+bound on the neglected mass Pr(Y >= J) falls below eps_tail (see
+model._pmf_table).  Both conventions are suffix sums of that table and the
+brute-force negative Hessian weights the same table.
+
 Standard errors default to the observed information (the negative analytic
 Hessian), which needs no infinite sums at fit time; the expected matrix is
 available behind a flag.
@@ -26,18 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import grad_hess
-from .exceptions import DomainError, TruncationCapExceeded
+from .derivatives import _theta_bracket, grad_hess
+from .exceptions import DomainError
 from .model import (
     DEFAULT_EPS_TAIL,
-    TRUNCATION_HARD_CAP,
     Dataset,
     Params,
     TruncatedSum,
-    _pmf_iter,
+    _pmf_table,
     link_mean,
     truncated_pmf_sum,
-    truncation_floor,
 )
 from .special import _require_positive, sum_trigamma_weights
 
@@ -53,7 +56,7 @@ class ThetaTruncationReport:
 
     eps_tail: float
     cutoffs: tuple           # per-observation tail cutoff J*_i
-    tail_bounds: tuple       # per-observation Pr(Y >= J*_i) at the cutoff
+    tail_bounds: tuple       # per-observation certified bound on Pr(Y >= J*_i)
     survivor_at_j_total: float        # element using Pr(Y >= j)
     survivor_at_j_plus_1_total: float  # element using Pr(Y >= j+1)
     brute_force_total: float
@@ -109,70 +112,39 @@ class InfoMatrix:
         }
 
 
-def _theta_bracket_scalar(y: float, lam: float, theta: float) -> float:
-    t = theta * lam
-    one = 1.0 + t
-    return (theta * (1.0 + 2.0 * t) * (y - lam) - t * one) / (one * one) \
-        + 2.0 * math.log1p(t)
+def _theta_series(lam: float, theta: float, eps_tail: float):
+    """The dispersion series of one observation, all read from one pmf table.
+
+    Returns (sum_j w_j Pr(Y >= j), sum_j w_j Pr(Y >= j+1), brute-force
+    E[-d2 lnL/dtheta2] as a TruncatedSum), with w_j = (2j+u)/(j+u)^2 and
+    u = 1/theta.  The survivor probabilities are suffix sums of the table.
+    The brute-force value weights each count's own negative Hessian, whose
+    finite sum sum_{j<y} w_j is the running sum of w; it never reads the
+    survivor sums.
+    """
+    pmf, cutoff, bound = _pmf_table(lam, theta, eps_tail)
+    u = 1.0 / theta
+    u3 = u * u * u
+    y = np.arange(cutoff, dtype=float)
+    w = (2.0 * y + u) / (y + u) ** 2
+    surv = np.cumsum(pmf[::-1])[::-1]
+    cum_w = np.concatenate(([0.0], np.cumsum(w[:-1])))
+    neg_h = u3 * _theta_bracket(y, lam, theta) - u3 * cum_w
+    brute = TruncatedSum(float(pmf @ neg_h), cutoff, bound, float(np.sum(pmf)))
+    return float(w @ surv), float(w[:-1] @ surv[1:]), brute
 
 
 def brute_force_expected_neg_hessian(lam: float, theta: float,
                                      eps_tail: float = DEFAULT_EPS_TAIL) -> TruncatedSum:
     """E[-d2 lnL/dtheta2] for one observation, by direct pmf-weighted summation.
 
-    This is the verification oracle for the tail-probability formulas; it
-    never touches them.  The per-count weighted sum is maintained
-    incrementally so the whole series costs O(cutoff).
+    This is the verification oracle for the tail-probability formulas: it
+    weights each count's own negative Hessian by its pmf and never touches
+    the survivor sums.
     """
     lam = _require_positive(lam, "lam")
     theta = _require_positive(theta, "theta")
-    if eps_tail <= 0.0:
-        raise DomainError("eps_tail must be positive")
-    u = 1.0 / theta
-    u3 = u * u * u
-    floor = truncation_floor(lam, theta)
-    cum_w = 0.0  # sum_{j<y} (2j+u)/(j+u)^2, grown as y advances
-    total = 0.0
-    weight = 0.0
-    tail = 1.0
-    for y, pmf in _pmf_iter(lam, u):
-        if y >= floor and tail < eps_tail * (abs(total) + 1.0):
-            return TruncatedSum(total, y, max(tail, 0.0), weight)
-        if y > TRUNCATION_HARD_CAP:
-            raise TruncationCapExceeded(
-                f"expectation not converged after {TRUNCATION_HARD_CAP} terms "
-                f"(lam={lam}, theta={theta})"
-            )
-        h_tt = u3 * cum_w - u3 * _theta_bracket_scalar(y, lam, theta)
-        total += -h_tt * pmf
-        weight += pmf
-        tail -= pmf
-        cum_w += (2.0 * y + u) / ((y + u) * (y + u))
-
-
-def _tail_weighted_sums(lam: float, theta: float, eps_tail: float):
-    """sum_j w_j Pr(Y>=j) and sum_j w_j Pr(Y>=j+1), truncated by the tail rule.
-
-    Returns (sum_at_j, sum_at_j_plus_1, cutoff, tail_bound).
-    """
-    u = 1.0 / theta
-    floor = truncation_floor(lam, theta)
-    sum_a = 0.0
-    sum_b = 0.0
-    surv = 1.0  # Pr(Y >= j)
-    for j, pmf in _pmf_iter(lam, u):
-        if j >= floor and surv < eps_tail * (abs(sum_b) + 1.0):
-            return sum_a, sum_b, j, max(surv, 0.0)
-        if j > TRUNCATION_HARD_CAP:
-            raise TruncationCapExceeded(
-                f"tail series not converged after {TRUNCATION_HARD_CAP} terms "
-                f"(lam={lam}, theta={theta})"
-            )
-        w = (2.0 * j + u) / ((j + u) * (j + u))
-        surv_next = surv - pmf
-        sum_a += w * surv
-        sum_b += w * max(surv_next, 0.0)
-        surv = surv_next
+    return _theta_series(lam, theta, eps_tail)[2]
 
 
 @dataclass(frozen=True)
@@ -186,15 +158,6 @@ class TailExpectation:
     cutoff: int
     tail_bound: float
 
-    def to_dict(self) -> dict:
-        return {
-            "survivor_at_j": self.survivor_at_j,
-            "survivor_at_j_plus_1": self.survivor_at_j_plus_1,
-            "double_sum": self.double_sum,
-            "cutoff": self.cutoff,
-            "tail_bound": self.tail_bound,
-        }
-
 
 def expected_trigamma_tail(lam: float, theta: float,
                            eps_tail: float = DEFAULT_EPS_TAIL) -> TailExpectation:
@@ -202,7 +165,7 @@ def expected_trigamma_tail(lam: float, theta: float,
     lam = _require_positive(lam, "lam")
     theta = _require_positive(theta, "theta")
     u3 = (1.0 / theta) ** 3
-    sum_a, sum_b, cutoff, bound = _tail_weighted_sums(lam, theta, eps_tail)
+    sum_a, sum_b, brute = _theta_series(lam, theta, eps_tail)
     direct = truncated_pmf_sum(
         lambda y: sum_trigamma_weights(y, theta), lam, theta, eps_tail
     )
@@ -210,8 +173,8 @@ def expected_trigamma_tail(lam: float, theta: float,
         survivor_at_j=u3 * sum_a,
         survivor_at_j_plus_1=u3 * sum_b,
         double_sum=u3 * direct.value,
-        cutoff=cutoff,
-        tail_bound=bound,
+        cutoff=brute.cutoff,
+        tail_bound=brute.tail_bound,
     )
 
 
@@ -238,12 +201,12 @@ def expected_info_theta(ds: Dataset, p: Params,
     for lam_i in lam:
         t = theta * lam_i
         smooth = 2.0 * math.log1p(t) - t / (1.0 + t)
-        sum_a, sum_b, cutoff, bound = _tail_weighted_sums(lam_i, theta, eps_tail)
+        sum_a, sum_b, brute = _theta_series(lam_i, theta, eps_tail)
         total_a += u3 * (smooth - sum_a)
         total_b += u3 * (smooth - sum_b)
-        total_bf += brute_force_expected_neg_hessian(lam_i, theta, eps_tail).value
-        cutoffs.append(cutoff)
-        bounds.append(bound)
+        total_bf += brute.value
+        cutoffs.append(brute.cutoff)
+        bounds.append(brute.tail_bound)
     if abs(total_b - total_bf) <= abs(total_a - total_bf):
         chosen, element = "survivor_at_j_plus_1", total_b
     else:
@@ -282,8 +245,9 @@ def expected_info_cross(ds: Dataset, p: Params,
     numeric = np.zeros(ds.p)
     for i, lam_i in enumerate(lam):
         coef = lam_i / (1.0 + theta * lam_i) ** 2
-        mean_dev = truncated_pmf_sum(lambda y: y - lam_i, lam_i, theta, eps_tail)
-        numeric += coef * mean_dev.value * ds.X[i]
+        pmf, cutoff, _ = _pmf_table(lam_i, theta, eps_tail)
+        mean_dev = float(np.sum((np.arange(cutoff) - lam_i) * pmf))
+        numeric += coef * mean_dev * ds.X[i]
     return np.zeros(ds.p), numeric
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError, QuadratureConvergenceError
-from .model import truncated_pmf_sum
+from .model import _pmf_table
 from .special import _require_count, _require_positive, ln_gamma
 
 
@@ -200,20 +200,22 @@ def nb_mean_bruteforce(lam: float, alpha: float,
     """Truncated sum_y y * pmf(y); must equal lam."""
     lam = _require_positive(lam, "lam")
     alpha = _require_positive(alpha, "alpha")
-    return truncated_pmf_sum(lambda y: float(y), lam, 1.0 / alpha, eps_tail).value
+    pmf, cutoff, _ = _pmf_table(lam, 1.0 / alpha, eps_tail)
+    return float(np.arange(cutoff, dtype=float) @ pmf)
 
 
 def nb_variance_bruteforce(lam: float, alpha: float,
                            eps_tail: float = 1e-12) -> float:
-    """Truncated sum_y y^2 pmf(y) minus the squared truncated mean.
+    """Truncated sum_y y^2 pmf(y) minus the squared truncated mean, from one
+    pmf table.
 
     Must equal lam + lam^2 / alpha, the NB2 variance."""
     lam = _require_positive(lam, "lam")
     alpha = _require_positive(alpha, "alpha")
-    theta = 1.0 / alpha
-    second = truncated_pmf_sum(lambda y: float(y) ** 2, lam, theta, eps_tail).value
-    mean = truncated_pmf_sum(lambda y: float(y), lam, theta, eps_tail).value
-    return second - mean * mean
+    pmf, cutoff, _ = _pmf_table(lam, 1.0 / alpha, eps_tail)
+    y = np.arange(cutoff, dtype=float)
+    mean = float(y @ pmf)
+    return float((y * y) @ pmf) - mean * mean
 
 
 def sample_counts(lam, theta: float, rng: np.random.Generator) -> np.ndarray:

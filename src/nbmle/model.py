@@ -275,41 +275,56 @@ def loglik_alpha(ds: Dataset, alpha: float, beta: np.ndarray) -> float:
     return float(np.sum(terms))
 
 
-def _pmf_iter(lam: float, alpha: float):
-    """Yield (y, pmf(y)) forever, via the stable pmf ratio recurrence.
+def _pmf_table(lam: float, theta: float, eps_tail: float = DEFAULT_EPS_TAIL,
+               hard_cap: int = TRUNCATION_HARD_CAP):
+    """(pmf(0..J-1) as an array, the cutoff J, a certified bound on Pr(Y >= J)).
 
-    pmf(y+1)/pmf(y) = r * (y + alpha) / (y + 1) with r = lam/(lam+alpha).
+    ln pmf is the cumulative sum of ln rho_y, where
+    rho_y = pmf(y+1)/pmf(y) = r (y + alpha) / (y + 1) and r = lam/(lam+alpha).
+    Past the mode rho_y < 1 and moves monotonically toward r, so no later
+    ratio exceeds max(r, rho_J) and Pr(Y >= J) <= pmf(J) / (1 - max(r, rho_J)).
+    J is the first count past the floor lam + 10*sqrt(lam*(1+theta*lam)),
+    which keeps the moment mass inside the table, where that bound is below
+    eps_tail.  The table starts at the floor and doubles in length until
+    the bound holds; TruncationCapExceeded is raised when J would pass
+    hard_cap.
     """
+    if eps_tail <= 0.0:
+        raise DomainError("eps_tail must be positive")
+    alpha = 1.0 / theta
     r = lam / (lam + alpha)
-    pmf = math.exp(-alpha * math.log1p(lam / alpha))  # pmf(0)
-    y = 0
-    while True:
-        yield y, pmf
-        pmf *= r * (y + alpha) / (y + 1.0)
-        y += 1
+    log_pmf0 = -alpha * math.log1p(lam / alpha)
+    start = math.ceil(lam + 10.0 * math.sqrt(lam * (1.0 + theta * lam)))
+    size = start + 1
+    while start <= hard_cap:
+        size = min(size, hard_cap + 1)
+        y = np.arange(size, dtype=float)
+        rho = r * (y + alpha) / (y + 1.0)
+        pmf = np.exp(np.cumsum(np.concatenate(([log_pmf0], np.log(rho[:-1])))))
+        room = 1.0 - np.maximum(r, rho[start:])
+        hits = np.flatnonzero(pmf[start:] < eps_tail * room)
+        if hits.size:
+            k = int(hits[0])
+            return pmf[:start + k], start + k, float(pmf[start + k] / room[k])
+        if size > hard_cap:
+            break
+        size *= 2
+    raise TruncationCapExceeded(
+        f"series not converged within {hard_cap} terms (lam={lam}, theta={theta})"
+    )
 
 
 def tail_prob(j: int, lam: float, theta: float) -> float:
-    """Pr(Y >= j) for Y ~ NB2(lam, alpha = 1/theta), clamped to [0, 1]."""
+    """Pr(Y >= j) for Y ~ NB2(lam, alpha = 1/theta), clamped to [0, 1].
+
+    Computed as 1 - sum_{y<j} pmf(y) over the pmf table; for j past the
+    table's cutoff the result is within DEFAULT_EPS_TAIL of the truth.
+    """
     j = _require_count(j, "j")
     lam = _require_positive(lam, "lam")
     theta = _require_positive(theta, "theta")
-    alpha = 1.0 / theta
-    tail = 1.0
-    for y, pmf in _pmf_iter(lam, alpha):
-        if y >= j:
-            break
-        tail -= pmf
-    return min(1.0, max(0.0, tail))
-
-
-def truncation_floor(lam: float, theta: float) -> float:
-    """Minimum cutoff for series over the count support.
-
-    lam + 10*sqrt(lam*(1+theta*lam)) keeps the moment mass inside the
-    truncation regardless of how quickly the partial sum stabilises.
-    """
-    return lam + 10.0 * math.sqrt(lam * (1.0 + theta * lam))
+    pmf, _, _ = _pmf_table(lam, theta)
+    return min(1.0, max(0.0, 1.0 - math.fsum(pmf[:j])))
 
 
 @dataclass(frozen=True)
@@ -324,29 +339,15 @@ class TruncatedSum:
 
 def truncated_pmf_sum(f, lam: float, theta: float, eps_tail: float = DEFAULT_EPS_TAIL,
                       hard_cap: int = TRUNCATION_HARD_CAP) -> TruncatedSum:
-    """sum_y f(y) * pmf(y) truncated by the tail rule.
+    """sum_y f(y) * pmf(y) over the counts y < J of the pmf table.
 
-    Terms accumulate until the first Y* past the moment floor where
-    Pr(Y >= Y*) < eps_tail * (|partial sum| + 1).  Raises
-    TruncationCapExceeded past hard_cap terms.
+    J is the first count past the moment floor at which the certified
+    bound on the neglected mass Pr(Y >= J) is below eps_tail; tail_bound
+    is that bound.  f is called once per count with a Python int.  Raises
+    TruncationCapExceeded when J would pass hard_cap.
     """
     lam = _require_positive(lam, "lam")
     theta = _require_positive(theta, "theta")
-    if eps_tail <= 0.0:
-        raise DomainError("eps_tail must be positive")
-    alpha = 1.0 / theta
-    floor = truncation_floor(lam, theta)
-    total = 0.0
-    weight = 0.0
-    tail = 1.0
-    for y, pmf in _pmf_iter(lam, alpha):
-        if y >= floor and tail < eps_tail * (abs(total) + 1.0):
-            return TruncatedSum(total, y, max(tail, 0.0), weight)
-        if y > hard_cap:
-            raise TruncationCapExceeded(
-                f"series not converged after {hard_cap} terms "
-                f"(lam={lam}, theta={theta}, tail={tail:.3e})"
-            )
-        total += f(y) * pmf
-        weight += pmf
-        tail -= pmf
+    pmf, cutoff, bound = _pmf_table(lam, theta, eps_tail, hard_cap)
+    values = np.fromiter((f(y) for y in range(cutoff)), float, cutoff)
+    return TruncatedSum(float(np.sum(values * pmf)), cutoff, bound, float(np.sum(pmf)))

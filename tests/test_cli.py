@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nbmle
 from nbmle.cli import CliInputError, ingest_csv, main, run_verification
 
 
@@ -292,3 +296,16 @@ class TestDeterminism:
         a, _ = run_verification(grid=((2, 1.0),))
         b, _ = run_verification(grid=((2, 1.0),))
         assert a == b
+
+
+class TestDependencies:
+    def test_import_needs_only_numpy(self):
+        """scipy and hypothesis are test dependencies; the package and its
+        CLI must import without them."""
+        code = ("import sys, nbmle, nbmle.cli; "
+                "print(sorted({'scipy', 'hypothesis'} & set(sys.modules)))")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(nbmle.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

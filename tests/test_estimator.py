@@ -12,6 +12,7 @@ from nbmle import (
     InfoKind,
     InformationNotInvertible,
     InfoMatrix,
+    LinearPredictorOverflow,
     Params,
     fit,
     init_params,
@@ -189,6 +190,24 @@ class TestScaleInvariantConvergence:
         start = est.init_params
         monkeypatch.setattr(est, "init_params", lambda d: Params(start(d).beta, 1e-5))
         self._assert_stationary(ds, fit(ds))
+
+    def test_overflowing_trial_step_is_halved(self, monkeypatch):
+        """From theta0 far below theta-hat the first full step sends x'beta
+        past the link's range; the line search must shorten it, not raise."""
+        import nbmle.estimator as est
+
+        ds = self._grid_dataset(2000, 0.5, 50.0)
+        start = est.init_params
+        monkeypatch.setattr(est, "init_params", lambda d: Params(start(d).beta, 0.5))
+        self._assert_stationary(ds, fit(ds))
+
+    def test_overflow_at_the_start_still_raises(self, monkeypatch):
+        import nbmle.estimator as est
+
+        ds = self._grid_dataset(200, 0.5, 0.8)
+        monkeypatch.setattr(est, "init_params", lambda d: Params([800.0, 0.0], 0.8))
+        with pytest.raises(LinearPredictorOverflow):
+            fit(ds)
 
 
 class TestStandardErrors:

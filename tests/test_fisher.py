@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from nbmle import (
     Dataset,
@@ -95,6 +96,31 @@ class TestExpectedInfoTheta:
         ds2 = Dataset(y=np.array([1, 1]), X=np.array([[1.0], [1.0]]))
         e2, _ = expected_info_theta(ds2, Params(p1.beta, p1.theta))
         assert e2 == pytest.approx(2.0 * e1, rel=1e-12)
+
+    def test_heavy_tail_returns(self):
+        # The tail here is nearly geometric with ratio 1 - 1e-5, so the
+        # cutoff runs to about 2.5e6 counts.
+        ds, p = one_obs_dataset(2.1e4, 5.0)
+        element, report = expected_info_theta(ds, p)
+        assert math.isfinite(element) and element > 0.0
+        assert report.chosen == "survivor_at_j_plus_1"
+
+    @pytest.mark.parametrize("lam", [120.0, 400.0, 750.0])
+    def test_large_mean_matches_polygamma_sum(self, lam):
+        theta = 0.05
+        ds, p = one_obs_dataset(lam, theta)
+        element, _ = expected_info_theta(ds, p)
+        lam = float(link_mean(ds.X, p.beta).lam[0])
+        u = 1.0 / theta
+        one = 1.0 + theta * lam
+        y = np.arange(int(stats.nbinom.isf(1e-18, u, 1.0 / one)) + 2, dtype=float)
+        # d2/dtheta2 of ln pmf(y) in its gamma-function form.
+        d2 = (u ** 4 * (special.polygamma(1, y + u) - special.polygamma(1, u))
+              + 2.0 * u ** 3 * (special.digamma(y + u) - special.digamma(u))
+              - y * u * u - 2.0 * u ** 3 * math.log1p(theta * lam)
+              + 2.0 * u * u * lam / one + (y + u) * lam ** 2 / one ** 2)
+        ref = float(np.sum(stats.nbinom.pmf(y, u, 1.0 / one) * -d2))
+        assert element == pytest.approx(ref, rel=1e-7)
 
     def test_report_carries_both_conventions(self):
         ds, p = one_obs_dataset(1.0, 1.0)

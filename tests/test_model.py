@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from nbmle import (
     Dataset,
@@ -17,6 +18,7 @@ from nbmle import (
     tail_prob,
     truncated_pmf_sum,
 )
+from nbmle.model import _pmf_table
 from conftest import make_instance
 
 
@@ -198,3 +200,14 @@ class TestTruncatedSum:
     def test_mean_identity(self):
         res = truncated_pmf_sum(lambda y: float(y), 2.0, 0.5)
         assert res.value == pytest.approx(2.0, abs=1e-9)
+
+
+class TestPmfTable:
+    @pytest.mark.parametrize("theta", [1e-6, 0.2, 3.0])  # near-Poisson, alpha>1, alpha<1
+    @pytest.mark.parametrize("lam", [0.3, 5.0, 120.0, 750.0])
+    def test_tail_bound_covers_scipy_survivor(self, lam, theta):
+        alpha = 1.0 / theta
+        pmf, cutoff, bound = _pmf_table(lam, theta)
+        assert len(pmf) == cutoff >= lam + 10.0 * math.sqrt(lam * (1.0 + theta * lam))
+        assert bound < 1e-12
+        assert bound >= stats.nbinom.sf(cutoff - 1, alpha, alpha / (alpha + lam))
