@@ -14,10 +14,12 @@ field; TEXT output renders the same numbers to 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -49,19 +51,99 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+# Counts above 2**53 are not all representable in a float64 cell.
+MAX_RESPONSE = 2 ** 53
+
+# Rows per block of simulate output; the writer's memory stays flat in n.
+_WRITE_ROWS = 1 << 16
+
+# ASCII control characters that numpy strips from a cell as whitespace and
+# float() does not; a file holding one is left to the row parser.
+_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
 def ingest_csv(path: str, response_column: str = "y",
                no_intercept: bool = False) -> Dataset:
     """Load a header-row CSV into a Dataset.
 
-    The response column must hold non-negative integers; every other column
-    becomes a regressor.  An all-ones intercept column is prepended unless
-    no_intercept is set.  Errors carry row/column diagnostics.
+    The response column must hold non-negative integers up to MAX_RESPONSE;
+    every other column becomes a regressor.  An all-ones intercept column
+    is prepended unless no_intercept is set.  Errors carry row/column
+    diagnostics.
     """
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh))
+        table = (_read_numeric(path, response_column)
+                 or _read_rows(path, response_column))
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
+    header, body = table
+    y_col = header.index(response_column)
+    x_cols = [j for j in range(len(header)) if j != y_col]
+    y = body[:, y_col].astype(np.int64)
+    names = [header[j] for j in x_cols]
+    lead = 0 if no_intercept else 1
+    X = np.empty((len(y), lead + len(x_cols)))
+    X[:, :lead] = 1.0
+    for k, j in enumerate(x_cols, start=lead):
+        X[:, k] = body[:, j]
+    if not no_intercept:
+        names = ["intercept"] + names
+    if X.shape[1] == 0:
+        raise CliInputError(
+            f"{path}: no regressor columns and intercept disabled"
+        )
+    try:
+        ds = Dataset(y=y, X=X, names=tuple(names))
+    except DomainError as exc:
+        raise CliInputError(f"{path}: {exc}") from exc
+    print(f"loaded {ds.n} rows, {ds.p} design columns from {path}",
+          file=sys.stderr)
+    return ds
+
+
+def _read_numeric(path: str, response_column: str):
+    """(header, body) parsed by numpy's loadtxt, or None.
+
+    None leaves the file to _read_rows, which alone words the errors and
+    alone reads what float() accepts and loadtxt refuses (quoted cells,
+    digit underscores).  A table is returned only when _read_rows would
+    return the same one.
+    """
+    with open(path, "rb") as raw:
+        for block in iter(lambda: raw.read(1 << 20), b""):
+            if any(c in block for c in _NUMPY_ONLY_SPACE):
+                return None
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        header = next((row for row in csv.reader(fh) if row), None)
+        if header is None:
+            return None
+        header = [h.strip() for h in header]
+        if response_column not in header:
+            return None
+        try:
+            with warnings.catch_warnings():
+                # A header-only file warns "input contained no data".
+                warnings.simplefilter("error")
+                body = np.loadtxt(fh, delimiter=",", ndmin=2,
+                                  comments=None, dtype=float)
+        except (ValueError, UserWarning):
+            return None
+    if body.shape[0] == 0 or body.shape[1] != len(header):
+        return None
+    resp = body[:, header.index(response_column)]
+    if not np.all((resp >= 0) & (resp <= MAX_RESPONSE)
+                  & (resp == np.floor(resp))):
+        return None
+    return header, body
+
+
+def _read_rows(path: str, response_column: str):
+    """(header, body) parsed cell by cell with csv and float().
+
+    Raises CliInputError naming the row and column of the first bad cell.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        rows = list(csv.reader(fh))
     rows = [r for r in rows if r]
     if not rows:
         raise CliInputError(f"{path}: empty file")
@@ -72,10 +154,9 @@ def ingest_csv(path: str, response_column: str = "y",
             f"columns are {header}"
         )
     y_col = header.index(response_column)
-    x_cols = [j for j in range(len(header)) if j != y_col]
     if not rows[1:]:
         raise CliInputError(f"{path}: no data rows")
-    y_vals, x_vals = [], []
+    values = []
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise CliInputError(
@@ -91,38 +172,27 @@ def ingest_csv(path: str, response_column: str = "y",
                     f"column {header[j]!r}: {cell!r}"
                 ) from None
         resp = parsed[y_col]
-        if resp < 0 or resp != int(resp):
+        if not 0 <= resp <= MAX_RESPONSE or resp != int(resp):
             raise CliInputError(
                 f"{path}: response must be a non-negative integer; got "
                 f"{row[y_col]!r} at row {r}, column {response_column!r}"
             )
-        y_vals.append(int(resp))
-        x_vals.append([parsed[j] for j in x_cols])
-    y = np.array(y_vals, dtype=np.int64)
-    X = np.array(x_vals, dtype=float).reshape(len(y_vals), len(x_cols))
-    names = [header[j] for j in x_cols]
-    if not no_intercept:
-        X = np.hstack([np.ones((len(y), 1)), X])
-        names = ["intercept"] + names
-    if X.shape[1] == 0:
-        raise CliInputError(
-            f"{path}: no regressor columns and intercept disabled"
-        )
-    try:
-        ds = Dataset(y=y, X=X, names=tuple(names))
-    except DomainError as exc:
-        raise CliInputError(f"{path}: {exc}") from exc
-    print(f"loaded {ds.n} rows, {ds.p} design columns from {path}",
-          file=sys.stderr)
-    return ds
+        values.append(parsed)
+    return header, np.array(values, dtype=float)
+
+
+@contextlib.contextmanager
+def _output(args: argparse.Namespace):
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            yield fh
+    else:
+        yield sys.stdout
 
 
 def _write_output(args: argparse.Namespace, text: str) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args) as out:
+        out.write(text)
 
 
 def _render_json(payload: dict) -> str:
@@ -218,11 +288,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     lam = link_mean(X, beta).lam
     y = sample_counts(lam, args.theta, rng)
     header = [args.response] + [f"x{j}" for j in range(1, p)]
-    lines = [",".join(header)]
-    for i in range(args.n):
-        cells = [str(int(y[i]))] + [repr(float(v)) for v in Z[i]]
-        lines.append(",".join(cells))
-    _write_output(args, "\n".join(lines) + "\n")
+    with _output(args) as out:
+        out.write(",".join(header) + "\n")
+        for s in range(0, args.n, _WRITE_ROWS):
+            e = s + _WRITE_ROWS
+            cols = [map(str, y[s:e].tolist())]
+            cols += [map(repr, c) for c in Z[s:e].T.tolist()]
+            out.write("\n".join(map(",".join, zip(*cols))) + "\n")
     return 0
 
 

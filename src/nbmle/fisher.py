@@ -40,9 +40,8 @@ from .model import (
     TruncatedSum,
     _pmf_table,
     link_mean,
-    truncated_pmf_sum,
 )
-from .special import _require_positive, sum_trigamma_weights
+from .special import _require_positive
 
 
 class InfoKind(enum.Enum):
@@ -164,15 +163,22 @@ def expected_trigamma_tail(lam: float, theta: float,
     """Expected weighted sum in all three formulations, for adjudication."""
     lam = _require_positive(lam, "lam")
     theta = _require_positive(theta, "theta")
-    u3 = (1.0 / theta) ** 3
+    u = 1.0 / theta
+    u3 = u ** 3
     sum_a, sum_b, brute = _theta_series(lam, theta, eps_tail)
-    direct = truncated_pmf_sum(
-        lambda y: sum_trigamma_weights(y, theta), lam, theta, eps_tail
-    )
+    # The double sum carries sum_{j<y} w_j as a running scalar across y, so
+    # it reads neither the survivor sums nor numpy's cumsum.
+    pmf, cutoff, _ = _pmf_table(lam, theta, eps_tail)
+    inner = np.empty(cutoff)
+    running = 0.0
+    for j in range(cutoff):
+        inner[j] = running
+        d = j + u
+        running += (2.0 * j + u) / (d * d)
     return TailExpectation(
         survivor_at_j=u3 * sum_a,
         survivor_at_j_plus_1=u3 * sum_b,
-        double_sum=u3 * direct.value,
+        double_sum=u3 * float(np.sum(inner * pmf)),
         cutoff=brute.cutoff,
         tail_bound=brute.tail_bound,
     )

@@ -1,13 +1,16 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import nbmle
+from nbmle import cli
 from nbmle.cli import CliInputError, ingest_csv, main, run_verification
 
 
@@ -73,11 +76,156 @@ class TestIngest:
         assert "empty" in str(err.value)
 
 
+class TestIngestFastPath:
+    """numpy's reader returns what the row parser returns, or defers to it."""
+
+    def check(self, path, monkeypatch, response="y", **kwargs):
+        """ingest_csv through numpy's reader and through the row parser
+        alone give bit-identical Datasets."""
+        assert cli._read_numeric(str(path), response) is not None
+        fast = ingest_csv(str(path), response, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_read_numeric", lambda *args: None)
+            rows = ingest_csv(str(path), response, **kwargs)
+        assert fast.names == rows.names
+        assert fast.y.dtype == rows.y.dtype == np.int64
+        assert fast.X.dtype == rows.X.dtype == np.float64
+        assert fast.y.shape == rows.y.shape and fast.X.shape == rows.X.shape
+        assert fast.y.tobytes() == rows.y.tobytes()
+        assert fast.X.tobytes() == rows.X.tobytes()
+        return fast
+
+    def test_simulate_output(self, tmp_path, monkeypatch):
+        path = simulate_to(tmp_path, beta="0.5,-0.3,0.2", n=3000, seed=8)
+        ds = self.check(path, monkeypatch)
+        assert ds.n == 3000 and ds.p == 3
+
+    def test_eight_decimal_data(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(4)
+        x = np.round(rng.standard_normal((500, 3)), 8)
+        y = rng.poisson(1.5, 500)
+        lines = ["y,x1,x2,x3"] + [f"{c}," + ",".join(f"{v:.8f}" for v in row)
+                                  for c, row in zip(y, x)]
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        ds = self.check(path, monkeypatch)
+        np.testing.assert_array_equal(ds.X[:, 1:], x)
+
+    def test_crlf_bom_blank_lines_padding(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbfy , x1\r\n\r\n 0 , 1.5 \r\n2,\t-1\r\n"
+                         b"\r\n\r\n1,0.25\r\n\r\n")
+        ds = self.check(path, monkeypatch)
+        assert ds.names == ("intercept", "x1")
+        np.testing.assert_array_equal(ds.y, [0, 2, 1])
+        np.testing.assert_array_equal(ds.X[:, 1], [1.5, -1.0, 0.25])
+
+    def test_response_in_the_middle(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_text("a,count,b\n0.5,3,-1\n0.25,0,2\n-0.5,1,0.125\n")
+        ds = self.check(path, monkeypatch, response="count")
+        assert ds.names == ("intercept", "a", "b")
+        np.testing.assert_array_equal(ds.y, [3, 0, 1])
+        np.testing.assert_array_equal(ds.X[:, 2], [-1.0, 2.0, 0.125])
+
+    def test_no_intercept(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.csv"
+        path.write_text("y,x1,x2\n0,0.5,1.0\n2,-1.0,0.5\n1,0.25,2.0\n")
+        ds = self.check(path, monkeypatch, no_intercept=True)
+        assert ds.names == ("x1", "x2")
+
+    @pytest.mark.parametrize("text", [
+        'y,x1\n"0",0.5\n2,"-1.0"\n1,0.25\n',
+        "y,x1\n1_0,0.5\n2,-1_000.0\n1,0.25\n",
+    ])
+    def test_quoted_and_underscored_cells_use_the_row_parser(
+            self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        assert cli._read_numeric(str(path), "y") is None
+        ds = ingest_csv(str(path))
+        assert ds.n == 3
+        assert ds.y[1] == 2
+
+    def test_comment_text_in_a_cell_is_non_numeric(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,x1\n0,0.5\n1,2 # note\n")
+        with pytest.raises(CliInputError) as err:
+            ingest_csv(str(path))
+        assert str(err.value).endswith(
+            "non-numeric cell at row 3, column 'x1': '2 # note'")
+
+    def test_cell_numpy_strips_but_float_refuses(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,x1\n0,0.5\n1,\x1c2\n")
+        assert cli._read_numeric(str(path), "y") is None
+        with pytest.raises(CliInputError) as err:
+            ingest_csv(str(path))
+        assert "non-numeric cell at row 3, column 'x1'" in str(err.value)
+
+    def test_whitespace_line_is_not_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y\n1\n \n2\n")
+        with pytest.raises(CliInputError) as err:
+            ingest_csv(str(path))
+        assert "non-numeric cell at row 3, column 'y'" in str(err.value)
+
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,x1\n\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CliInputError) as err:
+                ingest_csv(str(path))
+        assert caught == []
+        assert "no data rows" in str(err.value)
+
+
+class TestResponseBounds:
+    @pytest.mark.parametrize("cell", ["inf", "nan", "1e20", "9007199254740994"])
+    def test_unrepresentable_response_is_input_error(self, tmp_path, capsys,
+                                                     cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"y,x1\n0,0.5\n{cell},-1.0\n1,0.25\n")
+        message = (f"response must be a non-negative integer; got {cell!r} "
+                   f"at row 3, column 'y'")
+        with pytest.raises(CliInputError) as err:
+            ingest_csv(str(path))
+        assert str(err.value).endswith(message)
+        capsys.readouterr()
+        assert run(["fit", "--input", path]) == 1
+        assert capsys.readouterr().err.strip().endswith(message)
+
+    def test_largest_exact_response_is_accepted(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,x1\n0,0.5\n9007199254740992,-1.0\n")
+        assert ingest_csv(str(path)).y[1] == 2 ** 53
+
+
 class TestSimulate:
     def test_same_seed_byte_identical(self, tmp_path):
         a = simulate_to(tmp_path, "a.csv", seed=5)
         b = simulate_to(tmp_path, "b.csv", seed=5)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_output_bytes_pinned(self, tmp_path):
+        path = simulate_to(tmp_path, beta="0.5,-0.3", theta=0.8, n=2000,
+                           seed=42)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9cfacdfb822fa352c6f1c5f905494a19475d51c132dd1b8dffdcb56c09e98233")
+
+    def test_stdout_matches_file_across_write_blocks(self, tmp_path, capsys):
+        args = ["simulate", "--beta", "0.2,0.1,-0.1", "--theta", 1.5,
+                "--n", cli._WRITE_ROWS + 7, "--seed", 3]
+        capsys.readouterr()
+        assert run(args) == 0
+        printed = capsys.readouterr().out
+        path = tmp_path / "s.csv"
+        assert run(args + ["--output", path]) == 0
+        assert path.read_text() == printed
+        lines = printed.split("\n")
+        assert lines[0] == "y,x1,x2" and lines[-1] == ""
+        assert len(lines) == cli._WRITE_ROWS + 9
 
     def test_different_seed_differs(self, tmp_path):
         a = simulate_to(tmp_path, "a.csv", seed=5)

@@ -53,6 +53,18 @@ class TestTailExpectation:
         assert tails.cutoff >= 1 + 10 * math.sqrt(2.0)
         assert 0.0 <= tails.tail_bound < 1e-10
 
+    def test_large_mean_double_sum_matches_polygamma_sum(self):
+        lam, theta = 300.0, 1.0
+        tails = expected_trigamma_tail(lam, theta)
+        u = 1.0 / theta
+        y = np.arange(int(stats.nbinom.isf(1e-18, u, u / (u + lam))) + 2,
+                      dtype=float)
+        # sum_{j<y} (2j+u)/(j+u)^2 = 2[psi(y+u) - psi(u)] - u[psi'(u) - psi'(y+u)]
+        inner = (2.0 * (special.digamma(y + u) - special.digamma(u))
+                 - u * (special.polygamma(1, u) - special.polygamma(1, y + u)))
+        ref = u ** 3 * float(np.sum(stats.nbinom.pmf(y, u, u / (u + lam)) * inner))
+        assert tails.double_sum == pytest.approx(ref, rel=1e-9)
+
 
 class TestBruteForce:
     def test_positive_finite_reference(self):
