@@ -72,22 +72,20 @@ def ingest_csv(path: str, response_column: str = "y",
     diagnostics.
     """
     try:
-        table = (_read_numeric(path, response_column)
-                 or _read_rows(path, response_column))
+        header, body = (_read_numeric(path, response_column)
+                        or _read_rows(path, response_column))
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    header, body = table
     y_col = header.index(response_column)
     x_cols = [j for j in range(len(header)) if j != y_col]
     y = body[:, y_col].astype(np.int64)
-    names = [header[j] for j in x_cols]
     lead = 0 if no_intercept else 1
-    X = np.empty((len(y), lead + len(x_cols)))
+    names = ["intercept"] * lead + [header[j] for j in x_cols]
+    # Filled column by column, so no second (n, p) temporary is built.
+    X = np.empty((len(y), len(names)))
     X[:, :lead] = 1.0
     for k, j in enumerate(x_cols, start=lead):
         X[:, k] = body[:, j]
-    if not no_intercept:
-        names = ["intercept"] + names
     if X.shape[1] == 0:
         raise CliInputError(
             f"{path}: no regressor columns and intercept disabled"
