@@ -35,8 +35,8 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DomainError
-from .model import Dataset, Params, _per_obs_sums, link_mean
-from .special import digamma, trigamma
+from .model import Dataset, Params, link_mean
+from .special import _finite_sums, _gamma_diff, digamma, trigamma
 
 
 @dataclass(frozen=True)
@@ -77,17 +77,18 @@ def grad_hess(ds: Dataset, p: Params) -> GradHess:
     t = theta * lam
     one = 1.0 + t
     resid = y - lam
-    sums = _per_obs_sums(y, u, want_recip=True, want_weights=True)
     u3 = u * u * u
     h_bb = -(X.T * (lam * (1.0 + theta * y) / one ** 2)) @ X
     return GradHess(
         score_beta=X.T @ (resid / one),
         score_theta=float(np.sum(
-            u * u * (-sums["recip"] + np.log1p(t)) + resid / (theta * one)
+            u * u * (-_finite_sums(y, u, "recip") + np.log1p(t))
+            + resid / (theta * one)
         )),
         h_bb=0.5 * (h_bb + h_bb.T),
         h_bt=-(X.T @ (lam * resid / one ** 2)),
-        h_tt=float(np.sum(u3 * sums["weights"] - u3 * _theta_bracket(y, lam, theta))),
+        h_tt=float(np.sum(u3 * _finite_sums(y, u, "weights")
+                          - u3 * _theta_bracket(y, lam, theta))),
     )
 
 
@@ -128,8 +129,8 @@ def score_theta_gamma_form(ds: Dataset, p: Params) -> float:
     u = 1.0 / theta
     lam = link_mean(ds.X, p.beta).lam
     t = theta * lam
-    dig = np.array([digamma(y + u) - digamma(u) if y else 0.0 for y in ds.y])
-    terms = u * u * np.log1p(t) + (ds.y - lam) / (theta * (1.0 + t)) + dig
+    terms = (u * u * np.log1p(t) + (ds.y - lam) / (theta * (1.0 + t))
+             + _gamma_diff(digamma, ds.y, u))
     return float(np.sum(terms))
 
 
@@ -143,8 +144,7 @@ def hessian_theta_gamma_form(ds: Dataset, p: Params) -> float:
     u = 1.0 / theta
     lam = link_mean(ds.X, p.beta).lam
     u3 = u * u * u
-    tri = np.array([trigamma(y + u) - trigamma(u) if y else 0.0 for y in ds.y])
-    terms = -u3 * _theta_bracket(ds.y, lam, theta) + tri
+    terms = -u3 * _theta_bracket(ds.y, lam, theta) + _gamma_diff(trigamma, ds.y, u)
     return float(np.sum(terms))
 
 

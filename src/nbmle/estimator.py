@@ -8,10 +8,12 @@ Newton decrement: when H is negative definite and half of g . (-H)^-1 g
 in the search coordinates is at most _DECREMENT_TOL, the last step is
 taken in full and the fit is converged.  The decrement is
 affine-invariant, so neither the scale of the data nor the
-parameterisation changes when it fires.  A regularised step proves
-nothing about stationarity and never stops the fit.  At the dispersion
-floor with a negative dispersion gradient the bound is active, so the
-step and the decrement are computed over beta alone.
+parameterisation changes when it fires.  Where H is not negative
+definite the step uses H with its eigenvalues replaced by their
+magnitudes; such a step proves nothing about stationarity and never
+stops the fit.  At the dispersion floor with a negative dispersion
+gradient the bound is active, so the step and the decrement are
+computed over beta alone.
 
 Only the finite-sum derivative forms are consumed here; the literal
 gamma-function forms exist for comparison, not estimation.
@@ -197,22 +199,19 @@ def _search_gradient(gh: GradHess, theta: float, log_scale: bool):
 
 
 def _ascent_direction(H: np.ndarray, g: np.ndarray):
-    """Newton direction, regularised until it is an ascent direction.
+    """Newton direction, with H modified by its eigenvalues where it is not
+    negative definite.
 
     The flag is True only for the plain Newton step at a negative definite
-    H, the one case in which g . d is the Newton decrement.
+    H, the one case in which g . d is the Newton decrement.  Otherwise
+    d = V diag(1 / max(|lam_i|, delta)) V' g, an ascent direction whenever
+    g != 0 (Nocedal & Wright, Numerical Optimization, 2006, sec. 3.4).
     """
-    scale = max(1.0, float(np.abs(np.diag(H)).max()))
-    tau = 0.0
-    for _ in range(12):
-        try:
-            d = np.linalg.solve(H - tau * np.eye(len(g)), -g)
-        except np.linalg.LinAlgError:
-            d = None
-        if d is not None and np.isfinite(d).all() and float(d @ g) > 0.0:
-            return d, tau == 0.0 and bool(np.all(np.linalg.eigvalsh(H) < 0.0))
-        tau = 1e-8 * scale if tau == 0.0 else tau * 100.0
-    return g / max(1.0, float(np.linalg.norm(g))), False
+    lam, V = np.linalg.eigh(H)
+    if np.all(lam < 0.0):
+        return np.linalg.solve(H, -g), True
+    delta = 1e-8 * max(1.0, float(np.abs(lam).max()))
+    return V @ ((V.T @ g) / np.maximum(np.abs(lam), delta)), False
 
 
 def fit(ds: Dataset, opts: FitOptions | None = None, *,

@@ -41,7 +41,7 @@ from .model import (
     _pmf_table,
     link_mean,
 )
-from .special import _require_positive
+from .special import _SUMMANDS, _require_positive
 
 
 class InfoKind(enum.Enum):
@@ -111,8 +111,9 @@ class InfoMatrix:
         }
 
 
-def _theta_series(lam: float, theta: float, eps_tail: float):
-    """The dispersion series of one observation, all read from one pmf table.
+def _theta_series(lam: float, theta: float, table):
+    """The dispersion series of one observation, all read from its pmf table
+    (the tuple _pmf_table returns).
 
     Returns (sum_j w_j Pr(Y >= j), sum_j w_j Pr(Y >= j+1), brute-force
     E[-d2 lnL/dtheta2] as a TruncatedSum), with w_j = (2j+u)/(j+u)^2 and
@@ -121,11 +122,11 @@ def _theta_series(lam: float, theta: float, eps_tail: float):
     finite sum sum_{j<y} w_j is the running sum of w; it never reads the
     survivor sums.
     """
-    pmf, cutoff, bound = _pmf_table(lam, theta, eps_tail)
+    pmf, cutoff, bound = table
     u = 1.0 / theta
     u3 = u * u * u
     y = np.arange(cutoff, dtype=float)
-    w = (2.0 * y + u) / (y + u) ** 2
+    w = _SUMMANDS["weights"](y, u)
     surv = np.cumsum(pmf[::-1])[::-1]
     cum_w = np.concatenate(([0.0], np.cumsum(w[:-1])))
     neg_h = u3 * _theta_bracket(y, lam, theta) - u3 * cum_w
@@ -143,7 +144,7 @@ def brute_force_expected_neg_hessian(lam: float, theta: float,
     """
     lam = _require_positive(lam, "lam")
     theta = _require_positive(theta, "theta")
-    return _theta_series(lam, theta, eps_tail)[2]
+    return _theta_series(lam, theta, _pmf_table(lam, theta, eps_tail))[2]
 
 
 @dataclass(frozen=True)
@@ -165,10 +166,11 @@ def expected_trigamma_tail(lam: float, theta: float,
     theta = _require_positive(theta, "theta")
     u = 1.0 / theta
     u3 = u ** 3
-    sum_a, sum_b, brute = _theta_series(lam, theta, eps_tail)
+    table = _pmf_table(lam, theta, eps_tail)
+    sum_a, sum_b, brute = _theta_series(lam, theta, table)
     # The double sum carries sum_{j<y} w_j as a running scalar across y, so
     # it reads neither the survivor sums nor numpy's cumsum.
-    pmf, cutoff, _ = _pmf_table(lam, theta, eps_tail)
+    pmf, cutoff, _ = table
     inner = np.empty(cutoff)
     running = 0.0
     for j in range(cutoff):
@@ -207,7 +209,8 @@ def expected_info_theta(ds: Dataset, p: Params,
     for lam_i in lam:
         t = theta * lam_i
         smooth = 2.0 * math.log1p(t) - t / (1.0 + t)
-        sum_a, sum_b, brute = _theta_series(lam_i, theta, eps_tail)
+        sum_a, sum_b, brute = _theta_series(
+            lam_i, theta, _pmf_table(lam_i, theta, eps_tail))
         total_a += u3 * (smooth - sum_a)
         total_b += u3 * (smooth - sum_b)
         total_bf += brute.value

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from .derivatives import finite_diff, finite_diff_second
 from .exceptions import DomainError
 from .special import (
+    _require_count,
     digamma,
     ln_gamma,
     sum_recip_shifted,
@@ -55,12 +56,6 @@ _FD_STEP_SECOND = 5e-4
 def default_grid() -> tuple:
     """Cartesian default grid of (y, scale) points."""
     return tuple((y, s) for y in DEFAULT_Y_GRID for s in DEFAULT_SCALE_GRID)
-
-
-def _as_count(y) -> int:
-    if int(y) != y or y < 0:
-        raise DomainError(f"y must be a non-negative integer, got {y!r}")
-    return int(y)
 
 
 @dataclass(frozen=True)
@@ -151,7 +146,7 @@ def check_digamma_sum(grid=None, tol: float = 1e-9) -> IdentityReport:
         grid = default_grid()
 
     def point(y, alpha):
-        y = _as_count(y)
+        y = _require_count(y)
         dig = digamma(y + alpha) - digamma(alpha) if y else 0.0
         s = sum_recip_shifted(y, 1.0 / alpha)
         return {"digamma_diff": dig, "finite_sum": s}
@@ -180,7 +175,7 @@ def check_digamma_chain(grid=None, tol: float = 1e-6) -> IdentityReport:
         grid = default_grid()
 
     def point(y, theta):
-        y = _as_count(y)
+        y = _require_count(y)
         if theta <= 0:
             raise DomainError("theta must be > 0")
         u = 1.0 / theta
@@ -216,7 +211,7 @@ def check_trigamma_chain(grid=None, tol: float = 1e-4) -> IdentityReport:
         grid = default_grid()
 
     def point(y, theta):
-        y = _as_count(y)
+        y = _require_count(y)
         if theta <= 0:
             raise DomainError("theta must be > 0")
         u = 1.0 / theta
@@ -256,7 +251,7 @@ def check_trigamma_sum(grid=None, tol: float = 1e-9,
         grid = default_grid()
 
     def point(y, alpha):
-        y = _as_count(y)
+        y = _require_count(y)
         theta = 1.0 / alpha if alpha > 0 else -1.0
         if theta <= 0:
             raise DomainError("alpha must be > 0")

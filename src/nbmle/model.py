@@ -15,7 +15,9 @@ The log-likelihood is evaluated in the finite-sum ("gamma-free") form
     sum_i { sum_{j=0}^{y_i - 1} ln(j + 1/theta) - ln(y_i!) + y_i x_i'beta
             + y_i ln theta - (1/theta + y_i) ln(1 + theta e^{x_i'beta}) }
 
-with ln(1 + theta*lambda) computed through log1p.
+with ln(1 + theta*lambda) computed through log1p.  The sums over j, and
+ln(y_i!) as the same sum at shift 1, come from special._finite_sums, the
+kernel the derivatives and the identity checks also read.
 
 All operations are pure; Dataset and Params are immutable after
 construction.  Per-observation reductions use numpy's pairwise summation,
@@ -35,13 +37,11 @@ from .exceptions import (
     TruncationCapExceeded,
 )
 from .special import (
-    LARGE_COUNT_SWITCH,
+    _finite_sums,
     _require_count,
     _require_positive,
-    digamma,
     ln_gamma,
     sum_log_shifted,
-    trigamma,
 )
 
 # exp() overflows double precision just above 709, and an exp() this large
@@ -194,47 +194,9 @@ def nb_pmf_binomial_form(y: int, lam: float, alpha: int) -> float:
     return math.exp(log_comb + y * log_r + a * log_1mr)
 
 
-def _per_obs_sums(y: np.ndarray, u: float, *, want_log=False, want_recip=False,
-                  want_weights=False) -> dict:
-    """Per-observation finite sums over j = 0..y_i-1, vectorised.
-
-    Returns the requested arrays keyed "log" (sum ln(j+u)), "recip"
-    (sum 1/(j+u)) and "weights" (sum (2j+u)/(j+u)^2).  Built from cumulative
-    tables of length max(y); for counts beyond LARGE_COUNT_SWITCH the exact
-    gamma-difference forms are used instead.
-    """
-    out = {}
-    max_y = int(y.max()) if len(y) else 0
-    if max_y > LARGE_COUNT_SWITCH:
-        uniq, inv = np.unique(y, return_inverse=True)
-        if want_log:
-            vals = np.array([ln_gamma(v + u) - ln_gamma(u) for v in uniq])
-            out["log"] = vals[inv]
-        if want_recip:
-            vals = np.array([digamma(v + u) - digamma(u) if v else 0.0 for v in uniq])
-            out["recip"] = vals[inv]
-        if want_weights:
-            rec = np.array([digamma(v + u) - digamma(u) if v else 0.0 for v in uniq])
-            sq = np.array([-(trigamma(v + u) - trigamma(u)) if v else 0.0 for v in uniq])
-            out["weights"] = (2.0 * rec - u * sq)[inv]
-        return out
-    j = np.arange(max_y, dtype=float)
-    shifted = j + u
-    if want_log:
-        table = np.concatenate(([0.0], np.cumsum(np.log(shifted))))
-        out["log"] = table[y]
-    if want_recip:
-        table = np.concatenate(([0.0], np.cumsum(1.0 / shifted)))
-        out["recip"] = table[y]
-    if want_weights:
-        table = np.concatenate(([0.0], np.cumsum((2.0 * j + u) / shifted**2)))
-        out["weights"] = table[y]
-    return out
-
-
 def _ln_factorial(y: np.ndarray) -> np.ndarray:
     """ln(y!) = ln Gamma(y+1), via an exact cumulative table of logs."""
-    return _per_obs_sums(y, 1.0, want_log=True)["log"]
+    return _finite_sums(y, 1.0, "log")
 
 
 def loglik(ds: Dataset, p: Params) -> float:
@@ -244,9 +206,8 @@ def loglik(ds: Dataset, p: Params) -> float:
     link = link_mean(ds.X, p.beta)
     lam, eta = link.lam, link.eta
     y = ds.y
-    sums = _per_obs_sums(y, u, want_log=True)["log"]
     terms = (
-        sums
+        _finite_sums(y, u, "log")
         - _ln_factorial(y)
         + y * eta
         + y * math.log(theta)
@@ -264,9 +225,8 @@ def loglik_alpha(ds: Dataset, alpha: float, beta: np.ndarray) -> float:
     alpha = _require_positive(alpha, "alpha")
     lam = link_mean(ds.X, beta).lam
     y = ds.y
-    sums = _per_obs_sums(y, alpha, want_log=True)["log"]
     terms = (
-        sums
+        _finite_sums(y, alpha, "log")
         - _ln_factorial(y)
         + y * np.log(lam)
         - y * math.log(alpha)

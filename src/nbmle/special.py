@@ -1,4 +1,4 @@
-"""Scalar special-function kernels and their finite-sum counterparts.
+"""Scalar gamma-family functions and the one finite-sum kernel.
 
 The count-regression likelihood only ever needs gamma functions through the
 ratio Gamma(y + a) / Gamma(a) with integer y, so every such ratio admits an
@@ -9,9 +9,12 @@ exact finite-sum form:
     Psi'(y+a) - Psi'(a)       = -sum_{j=0}^{y-1} 1/(j + a)^2
 
 The finite sums are the canonical evaluation path here; the gamma-function
-forms exist so the two routes can be checked against each other.  For very
-large counts the sums fall back to the gamma-difference forms (O(1) instead
-of O(y)); the equalities above make the switch exact up to rounding.
+forms exist so the two routes can be checked against each other.
+_finite_sums evaluates every finite sum, for an array of counts, from one
+cumulative table; the public sum_* functions are its one-count case.  When
+a count passes LARGE_COUNT_SWITCH the kernel takes the gamma-difference
+forms instead (O(1) per distinct count instead of O(y)); the equalities
+above make the switch exact up to rounding.
 
 All functions are pure and reentrant.
 """
@@ -19,6 +22,8 @@ All functions are pure and reentrant.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .exceptions import DomainError
 
@@ -137,44 +142,71 @@ def trigamma(x: float) -> float:
     return acc + inv + 0.5 * inv_sq + series
 
 
+def _gamma_diff(fn, y: np.ndarray, a: float) -> np.ndarray:
+    """fn(y_i + a) - fn(a) per count (0.0 where y_i = 0), one scalar call per
+    distinct count."""
+    uniq, inv = np.unique(y, return_inverse=True)
+    base = fn(a)
+    return np.array([fn(v + a) - base if v else 0.0 for v in uniq])[inv]
+
+
+# The summand of each finite sum at terms j and shift a, elementwise.
+_SUMMANDS = {
+    "log": lambda j, a: np.log(j + a),
+    "recip": lambda j, a: 1.0 / (j + a),
+    "recip_sq": lambda j, a: 1.0 / (j + a) ** 2,
+    "weights": lambda j, a: (2.0 * j + a) / (j + a) ** 2,
+}
+
+# The same sums through the gamma-difference forms; the weights decompose
+# as 2/(j+a) - a/(j+a)^2.
+_GAMMA_FORMS = {
+    "log": lambda y, a: _gamma_diff(ln_gamma, y, a),
+    "recip": lambda y, a: _gamma_diff(digamma, y, a),
+    "recip_sq": lambda y, a: -_gamma_diff(trigamma, y, a),
+    "weights": lambda y, a: (2.0 * _gamma_diff(digamma, y, a)
+                             + a * _gamma_diff(trigamma, y, a)),
+}
+
+
+def _finite_sums(y: np.ndarray, a: float, kind: str) -> np.ndarray:
+    """sum_{j<y_i} of the `kind` summand at shift a, for each count y_i.
+
+    kind is "log" (ln(j+a)), "recip" (1/(j+a)), "recip_sq" (1/(j+a)^2) or
+    "weights" ((2j+a)/(j+a)^2).  Reads one cumulative table of length
+    max(y); when a count passes LARGE_COUNT_SWITCH every count takes the
+    exact gamma-difference form instead.
+    """
+    max_y = int(y.max()) if len(y) else 0
+    if max_y > LARGE_COUNT_SWITCH:
+        return _GAMMA_FORMS[kind](y, a)
+    terms = _SUMMANDS[kind](np.arange(max_y, dtype=float), a)
+    return np.concatenate(([0.0], np.cumsum(terms)))[y]
+
+
+def _one_count(y: int, a: float, kind: str) -> float:
+    return float(_finite_sums(np.array([y]), a, kind)[0])
+
+
 def sum_log_shifted(y: int, a: float) -> float:
     """sum_{j=0}^{y-1} ln(j + a); equals ln Gamma(y+a) - ln Gamma(a).
 
     Empty sum (exactly 0.0) for y = 0.
     """
     y = _require_count(y)
-    a = _require_positive(a, "a")
-    if y > LARGE_COUNT_SWITCH:
-        return ln_gamma(y + a) - ln_gamma(a)
-    total = 0.0
-    for j in range(y):
-        total += math.log(j + a)
-    return total
+    return _one_count(y, _require_positive(a, "a"), "log")
 
 
 def sum_recip_shifted(y: int, theta: float) -> float:
     """sum_{j=0}^{y-1} 1/(j + 1/theta); equals Psi(y + 1/theta) - Psi(1/theta)."""
     y = _require_count(y)
-    theta = _require_positive(theta, "theta")
-    a = 1.0 / theta
-    if y > LARGE_COUNT_SWITCH:
-        return digamma(y + a) - digamma(a)
-    total = 0.0
-    for j in range(y):
-        total += 1.0 / (j + a)
-    return total
+    return _one_count(y, 1.0 / _require_positive(theta, "theta"), "recip")
 
 
 def sum_recip_sq_shifted(y: int, a: float) -> float:
     """sum_{j=0}^{y-1} 1/(j + a)^2; equals -[Psi'(y+a) - Psi'(a)]."""
     y = _require_count(y)
-    a = _require_positive(a, "a")
-    if y > LARGE_COUNT_SWITCH:
-        return -(trigamma(y + a) - trigamma(a))
-    total = 0.0
-    for j in range(y):
-        total += 1.0 / ((j + a) * (j + a))
-    return total
+    return _one_count(y, _require_positive(a, "a"), "recip_sq")
 
 
 def sum_trigamma_weights(y: int, theta: float) -> float:
@@ -184,12 +216,4 @@ def sum_trigamma_weights(y: int, theta: float) -> float:
     sum equals 2*sum_recip_shifted(y, theta) - u*sum_recip_sq_shifted(y, u).
     """
     y = _require_count(y)
-    theta = _require_positive(theta, "theta")
-    u = 1.0 / theta
-    if y > LARGE_COUNT_SWITCH:
-        return 2.0 * sum_recip_shifted(y, theta) - u * sum_recip_sq_shifted(y, u)
-    total = 0.0
-    for j in range(y):
-        d = j + u
-        total += (2.0 * j + u) / (d * d)
-    return total
+    return _one_count(y, 1.0 / _require_positive(theta, "theta"), "weights")

@@ -110,6 +110,17 @@ def _fd_derivative_suite(seed: int, n_instances: int = 40) -> dict:
     return worst
 
 
+def _entry(section: str, check: str, pair, residual: float, tol: float,
+           expected, *, strict: bool = False, **extra) -> dict:
+    """One report entry; the verdict is HOLDS when the residual is within
+    the tolerance it records (strictly below it when strict)."""
+    holds = residual < tol if strict else residual <= tol
+    return {"section": section, "check": check, "pair": pair,
+            "max_residual": residual, "tol": tol,
+            "verdict": "HOLDS" if holds else "FAILS", "expected": expected,
+            **extra}
+
+
 def run_verification(grid=None, tol_first: float = 1e-6,
                      tol_second: float = 1e-4, tol_sum: float = 1e-9,
                      eps_tail: float = DEFAULT_EPS_TAIL,
@@ -127,17 +138,10 @@ def run_verification(grid=None, tol_first: float = 1e-6,
             key = (ident, pair)
             expected = ("HOLDS" if key in _EXPECTED_HOLDS
                         else "FAILS" if key in _EXPECTED_FAILS else None)
-            entries.append({
-                "section": "identities",
-                "check": ident.value,
-                "pair": pair,
-                "max_residual": verdict.max_residual,
-                "tol": verdict.tol,
-                "verdict": "HOLDS" if verdict.holds else "FAILS",
-                "expected": expected,
-                "worst_point": list(verdict.worst_point)
-                if verdict.worst_point else None,
-            })
+            worst = list(verdict.worst_point) if verdict.worst_point else None
+            entries.append(_entry("identities", ident.value, pair,
+                                  verdict.max_residual, verdict.tol, expected,
+                                  worst_point=worst))
 
     worst_mix = 0.0
     worst_mean = 0.0
@@ -149,16 +153,10 @@ def run_verification(grid=None, tol_first: float = 1e-6,
                 worst_mix = max(
                     worst_mix, abs(mixture_pmf(y, lam, alpha) - nb_pmf(y, lam, alpha))
                 )
-    entries.append({
-        "section": "mixture", "check": "mixture_pmf_vs_closed_form", "pair": None,
-        "max_residual": worst_mix, "tol": 1e-8,
-        "verdict": "HOLDS" if worst_mix <= 1e-8 else "FAILS", "expected": "HOLDS",
-    })
-    entries.append({
-        "section": "mixture", "check": "bruteforce_mean_vs_lambda", "pair": None,
-        "max_residual": worst_mean, "tol": 1e-6,
-        "verdict": "HOLDS" if worst_mean <= 1e-6 else "FAILS", "expected": "HOLDS",
-    })
+    entries.append(_entry("mixture", "mixture_pmf_vs_closed_form", None,
+                          worst_mix, 1e-8, "HOLDS"))
+    entries.append(_entry("mixture", "bruteforce_mean_vs_lambda", None,
+                          worst_mean, 1e-6, "HOLDS"))
 
     worst_interchange = 0.0
     worst_other_conv = math.inf
@@ -181,41 +179,24 @@ def run_verification(grid=None, tol_first: float = 1e-6,
             worst_element = max(worst_element, abs(element - bf) / max(abs(bf), 1e-12))
             min_element = min(min_element, element)
             conventions.add(report.chosen)
-    entries.append({
-        "section": "fisher", "check": "tail_interchange_survivor_j_plus_1",
-        "pair": "survivor_at_j_plus_1_vs_double_sum",
-        "max_residual": worst_interchange, "tol": 1e-9,
-        "verdict": "HOLDS" if worst_interchange <= 1e-9 else "FAILS",
-        "expected": "HOLDS",
-    })
-    entries.append({
-        "section": "fisher", "check": "tail_interchange_survivor_j",
-        "pair": "survivor_at_j_vs_double_sum",
-        "max_residual": worst_other_conv, "tol": 1e-9,
-        "verdict": "HOLDS" if worst_other_conv <= 1e-9 else "FAILS",
-        "expected": "FAILS",
-    })
-    entries.append({
-        "section": "fisher", "check": "expected_element_vs_bruteforce",
-        "pair": None, "max_residual": worst_element, "tol": 1e-6,
-        "verdict": "HOLDS" if worst_element <= 1e-6 else "FAILS",
-        "expected": "HOLDS",
-        "detail": {"min_element": min_element,
-                   "conventions_used": sorted(conventions)},
-    })
-    entries.append({
-        "section": "fisher", "check": "expected_element_positive", "pair": None,
-        "max_residual": -min_element, "tol": 0.0,
-        "verdict": "HOLDS" if min_element > 0 else "FAILS", "expected": "HOLDS",
-    })
+    entries.append(_entry("fisher", "tail_interchange_survivor_j_plus_1",
+                          "survivor_at_j_plus_1_vs_double_sum",
+                          worst_interchange, 1e-9, "HOLDS"))
+    entries.append(_entry("fisher", "tail_interchange_survivor_j",
+                          "survivor_at_j_vs_double_sum",
+                          worst_other_conv, 1e-9, "FAILS"))
+    entries.append(_entry("fisher", "expected_element_vs_bruteforce", None,
+                          worst_element, 1e-6, "HOLDS",
+                          detail={"min_element": min_element,
+                                  "conventions_used": sorted(conventions)}))
+    # The element must be strictly positive: a zero element FAILS.
+    entries.append(_entry("fisher", "expected_element_positive", None,
+                          -min_element, 0.0, "HOLDS", strict=True))
 
     fd_worst = _fd_derivative_suite(seed)
     for block, err in fd_worst.items():
-        entries.append({
-            "section": "derivatives", "check": f"fd_match_{block}", "pair": None,
-            "max_residual": err, "tol": 1e-5,
-            "verdict": "HOLDS" if err <= 1e-5 else "FAILS", "expected": "HOLDS",
-        })
+        entries.append(_entry("derivatives", f"fd_match_{block}", None,
+                              err, 1e-5, "HOLDS"))
 
     ok = all(e["verdict"] == "HOLDS" for e in entries if e["expected"] == "HOLDS")
     payload = {

@@ -177,6 +177,47 @@ class TestHessianThetaGammaForm:
             )
 
 
+class TestGammaFormsAgainstScipy:
+    """The gamma forms carry exactly the bare digamma/trigamma differences,
+    for small counts and for counts past LARGE_COUNT_SWITCH."""
+
+    @staticmethod
+    def _instances(rng):
+        from nbmle.special import LARGE_COUNT_SWITCH
+
+        for k in range(6):
+            ds, p = make_instance(rng)
+            if k % 2:
+                y = ds.y.copy()
+                y[0] = LARGE_COUNT_SWITCH + 17 * k
+                ds = Dataset(y=y, X=ds.X)
+            yield ds, p
+
+    def test_score_theta_gamma_form(self, rng):
+        from scipy.special import psi
+
+        for ds, p in self._instances(rng):
+            u, lam = 1.0 / p.theta, link_mean(ds.X, p.beta).lam
+            t = p.theta * lam
+            terms = (u * u * np.log1p(t) + (ds.y - lam) / (p.theta * (1.0 + t))
+                     + psi(ds.y + u) - psi(u))
+            assert abs(score_theta_gamma_form(ds, p) - np.sum(terms)) \
+                <= 1e-12 * np.sum(np.abs(terms))
+
+    def test_hessian_theta_gamma_form(self, rng):
+        from scipy.special import polygamma
+
+        for ds, p in self._instances(rng):
+            theta, u, lam = p.theta, 1.0 / p.theta, link_mean(ds.X, p.beta).lam
+            t = theta * lam
+            bracket = ((theta * (1.0 + 2.0 * t) * (ds.y - lam) - t * (1.0 + t))
+                       / (1.0 + t) ** 2 + 2.0 * np.log1p(t))
+            terms = (-u ** 3 * bracket
+                     + polygamma(1, ds.y + u) - polygamma(1, u))
+            assert abs(hessian_theta_gamma_form(ds, p) - np.sum(terms)) \
+                <= 1e-12 * np.sum(np.abs(terms))
+
+
 class TestHessianBetaBlocks:
     def test_bb_hand_value(self):
         ds, p = single_obs(1, 1.0)

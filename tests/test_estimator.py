@@ -210,6 +210,39 @@ class TestScaleInvariantConvergence:
             fit(ds)
 
 
+class TestIndefiniteHessianStep:
+    """Poisson data on which the search Hessian has a positive eigenvalue
+    along ln theta; a step regularised by a shift of H stayed short, and
+    the fit crawled to max_iter unconverged."""
+
+    @pytest.mark.parametrize("n, beta0", [(200, 6.0), (20_000, -2.0)])
+    def test_poisson_data_converges_promptly(self, n, beta0):
+        rng = np.random.default_rng([0, n, int(10 * beta0) + 100, 0])
+        X = _two_column_design(rng, n)
+        ds = Dataset(y=rng.poisson(np.exp(X @ [beta0, 0.3])), X=X)
+        res = fit(ds)
+        assert res.converged, res.message
+        assert res.iterations <= 20
+
+    def test_direction_ascends_on_an_indefinite_hessian(self):
+        from nbmle.estimator import _ascent_direction
+
+        H = np.array([[-4.0, 1.0], [1.0, 0.5]])
+        g = np.array([0.3, -2.0])
+        d, newton = _ascent_direction(H, g)
+        assert not newton
+        assert float(g @ d) > 0.0
+
+    def test_negative_definite_hessian_gives_the_newton_step(self):
+        from nbmle.estimator import _ascent_direction
+
+        H = np.array([[-4.0, 1.0], [1.0, -0.5]])
+        g = np.array([0.3, -2.0])
+        d, newton = _ascent_direction(H, g)
+        assert newton
+        np.testing.assert_array_equal(d, np.linalg.solve(H, -g))
+
+
 class TestStandardErrors:
     def test_identity_info(self):
         info = InfoMatrix(kind=InfoKind.OBSERVED, m=np.eye(2))

@@ -16,6 +16,7 @@ from nbmle import (
     sum_trigamma_weights,
     trigamma,
 )
+from nbmle.special import LARGE_COUNT_SWITCH, _finite_sums
 
 # ln Gamma(1/2) = ln sqrt(pi), an independent closed form.
 LN_GAMMA_HALF = 0.5723649429247001
@@ -196,3 +197,77 @@ class TestFiniteSums:
             sum_recip_shifted(2.5, 1.0)
         with pytest.raises(DomainError):
             sum_trigamma_weights(1, 0.0)
+
+
+def _loop_sums(kind, max_y, a):
+    """Running finite sums over j < y for y = 0..max_y, one term at a time.
+
+    np.log, not math.log: the two may differ in the last bit, and the
+    kernel evaluates its logs with numpy.
+    """
+    out, total = [], 0.0
+    for j in range(max_y + 1):
+        out.append(total)
+        j = float(j)
+        d = j + a
+        if kind == "log":
+            total += float(np.log(d))
+        elif kind == "recip":
+            total += 1.0 / d
+        elif kind == "recip_sq":
+            total += 1.0 / (d * d)
+        else:
+            total += (2.0 * j + a) / (d * d)
+    return np.array(out)
+
+
+KINDS = ("log", "recip", "recip_sq", "weights")
+
+
+class TestFiniteSumKernel:
+    @pytest.mark.parametrize("a", [0.01, 0.5, 1.0, 7.3, 1e3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bit_identical_to_loop(self, kind, a):
+        y = np.arange(301)
+        got = _finite_sums(y, a, kind)
+        np.testing.assert_array_equal(got, _loop_sums(kind, 300, a))
+        # Any order and repeats read the same table.
+        perm = np.random.default_rng(3).permutation(np.repeat(y, 2))
+        np.testing.assert_array_equal(_finite_sums(perm, a, kind), got[perm])
+
+    @pytest.mark.parametrize("a", [0.01, 0.5, 1.0, 7.3, 1e3])
+    def test_public_sums_are_the_one_count_case(self, a):
+        theta = 1.0 / a
+        u = 1.0 / theta
+        y = np.arange(301)
+        public = {
+            "log": lambda k: sum_log_shifted(k, a),
+            "recip": lambda k: sum_recip_shifted(k, theta),
+            "recip_sq": lambda k: sum_recip_sq_shifted(k, a),
+            "weights": lambda k: sum_trigamma_weights(k, theta),
+        }
+        shift = {"log": a, "recip": u, "recip_sq": a, "weights": u}
+        for kind in KINDS:
+            values = [public[kind](int(k)) for k in y]
+            assert all(isinstance(v, float) for v in values)
+            np.testing.assert_array_equal(values, _finite_sums(y, shift[kind], kind))
+
+    @pytest.mark.parametrize("a", [0.05, 0.5, 7.3, 1e3])
+    def test_mixed_large_counts_against_scipy(self, a):
+        y = np.array([0, 1, 2, 7, 300, 4_000, LARGE_COUNT_SWITCH,
+                      LARGE_COUNT_SWITCH + 1, 3_000_000, 2**40, 7])
+        recip = sps.psi(y + a) - sps.psi(a)
+        neg_sq = sps.polygamma(1, y + a) - sps.polygamma(1, a)
+        expected = {
+            "log": sps.gammaln(y + a) - sps.gammaln(a),
+            "recip": recip,
+            "recip_sq": -neg_sq,
+            "weights": 2.0 * recip + a * neg_sq,
+        }
+        for kind in KINDS:
+            np.testing.assert_allclose(_finite_sums(y, a, kind), expected[kind],
+                                       rtol=1e-12, atol=0.0, err_msg=kind)
+
+    def test_empty_count_array(self):
+        for kind in KINDS:
+            assert _finite_sums(np.zeros(0, dtype=np.int64), 1.0, kind).shape == (0,)
