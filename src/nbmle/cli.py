@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import warnings
+from array import array
 
 import numpy as np
 
@@ -103,9 +104,9 @@ def _read_numeric(path: str, response_column: str):
     """(header, body) parsed by numpy's loadtxt, or None.
 
     None leaves the file to _read_rows, which alone words the errors and
-    alone reads what float() accepts and loadtxt refuses (quoted cells,
-    digit underscores).  A table is returned only when _read_rows would
-    return the same one.
+    alone reads what float() accepts and loadtxt refuses (digit
+    underscores).  Quoted cells are read here, as csv reads them.  A table
+    is returned only when _read_rows would return the same one.
     """
     with open(path, "rb") as raw:
         for block in iter(lambda: raw.read(1 << 20), b""):
@@ -122,7 +123,7 @@ def _read_numeric(path: str, response_column: str):
             with warnings.catch_warnings():
                 # A header-only file warns "input contained no data".
                 warnings.simplefilter("error")
-                body = np.loadtxt(fh, delimiter=",", ndmin=2,
+                body = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"',
                                   comments=None, dtype=float)
         except (ValueError, UserWarning):
             return None
@@ -141,42 +142,42 @@ def _read_rows(path: str, response_column: str):
     Raises CliInputError naming the row and column of the first bad cell.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r]
-    if not rows:
-        raise CliInputError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
-    if response_column not in header:
-        raise CliInputError(
-            f"{path}: response column {response_column!r} not found; "
-            f"columns are {header}"
-        )
-    y_col = header.index(response_column)
-    if not rows[1:]:
-        raise CliInputError(f"{path}: no data rows")
-    values = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
+        rows = (r for r in csv.reader(fh) if r)
+        header = next(rows, None)
+        if header is None:
+            raise CliInputError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        if response_column not in header:
             raise CliInputError(
-                f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
+                f"{path}: response column {response_column!r} not found; "
+                f"columns are {header}"
             )
-        parsed = []
-        for j, cell in enumerate(row):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
+        y_col = header.index(response_column)
+        values = array("d")
+        for r, row in enumerate(rows, start=2):
+            if len(row) != len(header):
                 raise CliInputError(
-                    f"{path}: non-numeric cell at row {r}, "
-                    f"column {header[j]!r}: {cell!r}"
-                ) from None
-        resp = parsed[y_col]
-        if not 0 <= resp <= MAX_RESPONSE or resp != int(resp):
-            raise CliInputError(
-                f"{path}: response must be a non-negative integer; got "
-                f"{row[y_col]!r} at row {r}, column {response_column!r}"
-            )
-        values.append(parsed)
-    return header, np.array(values, dtype=float)
+                    f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
+                )
+            parsed = []
+            for j, cell in enumerate(row):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    raise CliInputError(
+                        f"{path}: non-numeric cell at row {r}, "
+                        f"column {header[j]!r}: {cell!r}"
+                    ) from None
+            resp = parsed[y_col]
+            if not 0 <= resp <= MAX_RESPONSE or resp != int(resp):
+                raise CliInputError(
+                    f"{path}: response must be a non-negative integer; got "
+                    f"{row[y_col]!r} at row {r}, column {response_column!r}"
+                )
+            values.extend(parsed)
+    if not values:
+        raise CliInputError(f"{path}: no data rows")
+    return header, np.frombuffer(values).reshape(-1, len(header))
 
 
 @contextlib.contextmanager
@@ -253,11 +254,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         info_kind=InfoKind(args.info),
         eps_tail=args.eps_tail,
     )
-    try:
-        res = fit(ds, opts)
-    except (AllZeroResponseError, CollinearColumnsError,
-            LinearPredictorOverflow, DomainError) as exc:
-        raise CliInputError(str(exc)) from exc
+    res = fit(ds, opts)
     payload = _fit_payload(res, ds.names)
     if args.format == "text":
         _write_output(args, _render_fit_text(payload))
@@ -271,14 +268,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    beta = _parse_beta(args.beta) if args.beta else ()
-    if args.theta <= 0:
-        raise CliInputError("--theta must be > 0")
-    if not beta:
-        raise CliInputError("--beta must give at least the intercept coefficient")
-    if args.n < 1:
-        raise CliInputError("--n must be >= 1")
-    beta = np.array(beta, dtype=float)
+    beta = np.array(args.beta, dtype=float)
     p = len(beta)
     rng = np.random.default_rng(args.seed)
     Z = rng.standard_normal((args.n, p - 1))
@@ -319,7 +309,7 @@ def _render_verify_text(payload: dict) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     payload, ok = run_verification(
-        grid=_parse_grid(args.grid) if args.grid else None,
+        grid=args.grid,
         tol_first=args.tol_first,
         tol_second=args.tol_second,
         eps_tail=args.eps_tail,
@@ -337,25 +327,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_info(args: argparse.Namespace) -> int:
-    beta = _parse_beta(args.beta) if args.beta else None
     ds = ingest_csv(args.input, args.response, args.no_intercept)
-    if beta is None:
-        raise CliInputError("--beta is required for info")
-    beta = np.array(beta, dtype=float)
+    beta = np.array(args.beta, dtype=float)
     if len(beta) != ds.p:
         raise CliInputError(
             f"--beta has {len(beta)} coefficients but the design has {ds.p} "
             f"columns ({', '.join(ds.names)})"
         )
-    try:
-        params = Params(beta, args.theta)
-        matrices = {}
-        if args.info in ("observed", "both"):
-            matrices["observed"] = observed_info(ds, params).to_dict()
-        if args.info in ("expected", "both"):
-            matrices["expected"] = expected_info(ds, params, args.eps_tail).to_dict()
-    except (DomainError, LinearPredictorOverflow, TruncationCapExceeded) as exc:
-        raise CliInputError(str(exc)) from exc
+    params = Params(beta, args.theta)
+    matrices = {}
+    if args.info in ("observed", "both"):
+        matrices["observed"] = observed_info(ds, params).to_dict()
+    if args.info in ("expected", "both"):
+        matrices["expected"] = expected_info(ds, params, args.eps_tail).to_dict()
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "info",
@@ -384,6 +368,22 @@ def cmd_info(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
+
+def _checked(kind: type, ok, wanted: str):
+    """argparse type: kind(text), refused unless ok(value)."""
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse words a ValueError with it
+    return parse
+
+
+_POSITIVE = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_SEED = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
 
 def _parse_beta(text: str) -> tuple:
     try:
@@ -426,18 +426,18 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--format", choices=["json", "text"], default="json")
     p_fit.add_argument("--info", choices=["observed", "expected"],
                        default="observed", help="standard-error source")
-    p_fit.add_argument("--eps-tail", type=float, default=DEFAULT_EPS_TAIL)
-    p_fit.add_argument("--max-iter", type=int, default=100)
+    p_fit.add_argument("--eps-tail", type=_POSITIVE, default=DEFAULT_EPS_TAIL)
+    p_fit.add_argument("--max-iter", type=_COUNT, default=100)
 
     p_sim = sub.add_parser("simulate", help="simulate a dataset to CSV")
     p_sim.set_defaults(func=cmd_simulate)
     add_io(p_sim, needs_input=False)
-    p_sim.add_argument("--beta", required=True,
+    p_sim.add_argument("--beta", type=_parse_beta, required=True,
                        help="comma-separated coefficients, intercept first")
-    p_sim.add_argument("--theta", type=float, required=True,
+    p_sim.add_argument("--theta", type=_POSITIVE, required=True,
                        help="dispersion parameter (> 0)")
-    p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
+    p_sim.add_argument("--n", type=_COUNT, required=True)
+    p_sim.add_argument("--seed", type=_SEED, required=True)
     p_sim.add_argument("--response", default="y",
                        help="response column name to write")
     p_sim.add_argument("--format", choices=["csv"], default="csv")
@@ -446,25 +446,25 @@ def _build_parser() -> _Parser:
     p_ver.set_defaults(func=cmd_verify)
     add_io(p_ver, needs_input=False)
     p_ver.add_argument("--format", choices=["json", "text"], default="json")
-    p_ver.add_argument("--seed", type=int, default=20260809)
-    p_ver.add_argument("--eps-tail", type=float, default=DEFAULT_EPS_TAIL)
-    p_ver.add_argument("--tol-first", type=float, default=1e-6,
+    p_ver.add_argument("--seed", type=_SEED, default=20260809)
+    p_ver.add_argument("--eps-tail", type=_POSITIVE, default=DEFAULT_EPS_TAIL)
+    p_ver.add_argument("--tol-first", type=_POSITIVE, default=1e-6,
                        help="tolerance for first-derivative comparisons")
-    p_ver.add_argument("--tol-second", type=float, default=1e-4,
+    p_ver.add_argument("--tol-second", type=_POSITIVE, default=1e-4,
                        help="tolerance for second-derivative comparisons")
-    p_ver.add_argument("--grid", default=None,
+    p_ver.add_argument("--grid", type=_parse_grid, default=None,
                        help="identity grid override, y:scale[,y:scale...]")
 
     p_info = sub.add_parser("info", help="information matrices at given parameters")
     p_info.set_defaults(func=cmd_info)
     add_io(p_info, needs_input=True)
     p_info.add_argument("--format", choices=["json", "text"], default="json")
-    p_info.add_argument("--beta", required=True,
+    p_info.add_argument("--beta", type=_parse_beta, required=True,
                         help="comma-separated coefficients matching the design")
-    p_info.add_argument("--theta", type=float, required=True)
+    p_info.add_argument("--theta", type=_POSITIVE, required=True)
     p_info.add_argument("--info", choices=["observed", "expected", "both"],
                         default="both")
-    p_info.add_argument("--eps-tail", type=float, default=DEFAULT_EPS_TAIL)
+    p_info.add_argument("--eps-tail", type=_POSITIVE, default=DEFAULT_EPS_TAIL)
     return parser
 
 
@@ -472,8 +472,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (CliInputError, TruncationCapExceeded,
-            QuadratureConvergenceError) as exc:
+    except (CliInputError, DomainError, AllZeroResponseError,
+            CollinearColumnsError, LinearPredictorOverflow,
+            TruncationCapExceeded, QuadratureConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -50,8 +50,6 @@ class GradHess:
     h_tt: float
 
     def __post_init__(self):
-        if not np.allclose(self.h_bb, self.h_bb.T, atol=0.0):
-            raise DomainError("h_bb must be symmetric")
         pieces = (self.score_beta, self.score_theta, self.h_bb, self.h_bt, self.h_tt)
         if not all(np.all(np.isfinite(np.asarray(x))) for x in pieces):
             raise DomainError("derivative blocks must be finite")

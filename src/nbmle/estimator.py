@@ -1,8 +1,11 @@
 """Maximum-likelihood fitting of (beta, theta) by Newton ascent.
 
-The search runs in (beta, ln theta) so the dispersion stays positive
-without constraints; the chain factors are exact (d/d ln theta =
-theta * d/dtheta).  Every accepted step must not decrease the
+The search runs in one space, (beta, z = ln theta), so the dispersion
+stays positive without constraints; the chain factors are exact (d/dz =
+theta * d/dtheta).  z is bounded below by ln _THETA_FLOOR: at the bound
+with a negative dispersion gradient the step and the decrement are
+computed over beta alone, and a fit that ends there reports
+boundary_theta.  Every accepted step must not decrease the
 log-likelihood (step-halving line search).  The one stopping rule is the
 Newton decrement: when H is negative definite and half of g . (-H)^-1 g
 in the search coordinates is at most _DECREMENT_TOL, the last step is
@@ -11,9 +14,7 @@ affine-invariant, so neither the scale of the data nor the
 parameterisation changes when it fires.  Where H is not negative
 definite the step uses H with its eigenvalues replaced by their
 magnitudes; such a step proves nothing about stationarity and never
-stops the fit.  At the dispersion floor with a negative dispersion
-gradient the bound is active, so the step and the decrement are
-computed over beta alone.
+stops the fit.
 
 Only the finite-sum derivative forms are consumed here; the literal
 gamma-function forms exist for comparison, not estimation.
@@ -48,20 +49,20 @@ from .model import DEFAULT_EPS_TAIL, Dataset, Params, loglik
 # eps * sum |terms|, growing with n * y * ln y), below which the line
 # search cannot verify a gain.
 _DECREMENT_TOL = 1e-6
+_THETA_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
 class FitOptions:
     max_iter: int = 100
     info_kind: InfoKind = InfoKind.OBSERVED
-    theta_floor: float = 1e-6
     eps_tail: float = DEFAULT_EPS_TAIL
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if min(self.theta_floor, self.eps_tail) <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.eps_tail <= 0:
+            raise ValueError("eps_tail must be positive")
 
 
 @dataclass(frozen=True)
@@ -147,16 +148,13 @@ def init_params(ds: Dataset) -> Params:
 
 
 def _collinear_columns(X: np.ndarray) -> list:
-    """Indices of columns numerically inside the span of earlier columns."""
-    n, p = X.shape
-    bad = []
-    for j in range(1, p):
-        prev = X[:, :j]
-        coef, *_ = np.linalg.lstsq(prev, X[:, j], rcond=None)
-        resid = X[:, j] - prev @ coef
-        if np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(X[:, j])):
-            bad.append(j)
-    return bad
+    """Indices of columns numerically inside the span of earlier columns.
+
+    In X = QR, |R_jj| is the norm of column j's residual on columns 0..j-1.
+    """
+    r = np.abs(np.diag(np.linalg.qr(X, mode="r")))
+    return [j for j in range(1, X.shape[1])
+            if r[j] <= 1e-10 * (1.0 + np.linalg.norm(X[:, j]))]
 
 
 def standard_errors(info: InfoMatrix) -> np.ndarray:
@@ -176,25 +174,21 @@ def standard_errors(info: InfoMatrix) -> np.ndarray:
     return np.sqrt(variances)
 
 
-def _search_gradient(gh: GradHess, theta: float, log_scale: bool):
+def _search_gradient(gh: GradHess, theta: float):
     """Gradient and Hessian in the search coordinates (beta, z).
 
     z = ln theta: dl/dz = theta * dl/dtheta,
-                  d2l/dz2 = theta^2 * d2l/dtheta2 + theta * dl/dtheta.
+                  d2l/dz2 = theta^2 * d2l/dtheta2 + theta * dl/dtheta,
+                  d2l/dbeta dz = theta * d2l/dbeta dtheta.
     """
     p = len(gh.score_beta)
     g = np.empty(p + 1)
     H = np.empty((p + 1, p + 1))
     g[:p] = gh.score_beta
     H[:p, :p] = gh.h_bb
-    if log_scale:
-        g[p] = theta * gh.score_theta
-        H[:p, p] = H[p, :p] = theta * gh.h_bt
-        H[p, p] = theta * theta * gh.h_tt + theta * gh.score_theta
-    else:
-        g[p] = gh.score_theta
-        H[:p, p] = H[p, :p] = gh.h_bt
-        H[p, p] = gh.h_tt
+    g[p] = theta * gh.score_theta
+    H[:p, p] = H[p, :p] = theta * gh.h_bt
+    H[p, p] = theta * theta * gh.h_tt + theta * gh.score_theta
     return g, H
 
 
@@ -214,14 +208,12 @@ def _ascent_direction(H: np.ndarray, g: np.ndarray):
     return V @ ((V.T @ g) / np.maximum(np.abs(lam), delta)), False
 
 
-def fit(ds: Dataset, opts: FitOptions | None = None, *,
-        log_theta_search: bool = True) -> FitResult:
+def fit(ds: Dataset, opts: FitOptions | None = None) -> FitResult:
     """Maximise the NB2 log-likelihood over (beta, theta).
 
     Raises AllZeroResponseError when every count is zero (theta is then
     unidentifiable).  Non-convergence is reported in the result, not
-    raised.  log_theta_search=False switches to raw-theta Newton and exists
-    for validating that both parameterisations reach the same optimum.
+    raised.
     """
     opts = opts or FitOptions()
     if not np.any(ds.y > 0):
@@ -230,15 +222,11 @@ def fit(ds: Dataset, opts: FitOptions | None = None, *,
         )
     start = init_params(ds)
     beta = start.beta.copy()
-    z_floor = math.log(opts.theta_floor) if log_theta_search else opts.theta_floor
-    z = math.log(max(start.theta, opts.theta_floor)) if log_theta_search \
-        else max(start.theta, opts.theta_floor)
-
-    def theta_of(zv: float) -> float:
-        return math.exp(zv) if log_theta_search else zv
+    z_floor = math.log(_THETA_FLOOR)
+    z = math.log(max(start.theta, _THETA_FLOOR))
 
     def ll_at(b: np.ndarray, zv: float) -> float:
-        return loglik(ds, Params(b, theta_of(zv)))
+        return loglik(ds, Params(b, math.exp(zv)))
 
     ll = ll_at(beta, z)
     trace = [ll]
@@ -246,12 +234,10 @@ def fit(ds: Dataset, opts: FitOptions | None = None, *,
     message = f"no convergence within {opts.max_iter} iterations"
 
     for iterations in range(1, opts.max_iter + 1):
-        theta = theta_of(z)
-        g, H = _search_gradient(grad_hess(ds, Params(beta, theta)), theta,
-                                log_theta_search)
-        at_floor = z <= z_floor + (1e-9 if log_theta_search else 1e-9 * z_floor)
+        theta = math.exp(z)
+        g, H = _search_gradient(grad_hess(ds, Params(beta, theta)), theta)
         # At the floor with g_z < 0 the bound is active: step in beta alone.
-        free = len(g) - 1 if at_floor and g[-1] < 0.0 else len(g)
+        free = len(g) - 1 if z <= z_floor + 1e-9 and g[-1] < 0.0 else len(g)
         d = np.zeros_like(g)
         d[:free], newton = _ascent_direction(H[:free, :free], g[:free])
         if newton and 0.5 * float(g @ d) <= _DECREMENT_TOL:
@@ -281,9 +267,9 @@ def fit(ds: Dataset, opts: FitOptions | None = None, *,
         beta, z, ll = b_new, z_new, ll_new
         trace.append(ll)
 
-    theta_hat = theta_of(z)
+    theta_hat = math.exp(z)
     params = Params(beta, theta_hat)
-    boundary = theta_hat <= opts.theta_floor * (1.0 + 1e-9)
+    boundary = theta_hat <= _THETA_FLOOR * (1.0 + 1e-9)
 
     if opts.info_kind is InfoKind.EXPECTED:
         info = expected_info(ds, params, opts.eps_tail)

@@ -130,16 +130,14 @@ class Params:
 
 @dataclass(frozen=True)
 class LinkValues:
-    """Linear predictors eta_i = x_i' beta and means lambda_i = exp(eta_i)."""
+    """Linear predictors eta_i = x_i' beta and means lambda_i = exp(eta_i).
+
+    Built only by link_mean, whose bound on |eta| keeps lam positive and
+    finite.
+    """
 
     lam: np.ndarray
     eta: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=float)
-        if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
-            raise DomainError("lam must be positive and finite")
-        object.__setattr__(self, "lam", lam)
 
 
 def link_mean(X: np.ndarray, beta: np.ndarray) -> LinkValues:

@@ -16,6 +16,7 @@ from nbmle import (
     Params,
     fit,
     init_params,
+    loglik,
     score_beta,
     score_theta,
     standard_errors,
@@ -57,6 +58,42 @@ class TestInitParams:
         p0 = init_params(ds)
         assert 0.5 <= p0.theta <= 2.0
 
+    @staticmethod
+    def _lstsq_flags(X):
+        """Reference: column j is flagged when its least-squares residual on
+        the earlier columns is below 1e-10 * (1 + |X_j|)."""
+        bad = []
+        for j in range(1, X.shape[1]):
+            coef, *_ = np.linalg.lstsq(X[:, :j], X[:, j], rcond=None)
+            resid = X[:, j] - X[:, :j] @ coef
+            if np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(X[:, j])):
+                bad.append(j)
+        return bad
+
+    @pytest.mark.parametrize("n", [5, 1000])
+    @pytest.mark.parametrize("kind, noise, flagged", [
+        ("duplicate", 0.0, [3]),
+        ("scaled", 0.0, [3]),
+        ("sum", 0.0, [3]),
+        ("sum", 1e-13, [3]),
+        ("sum", 1e-8, []),
+        ("sum", 1e-6, []),
+        ("scaled", 1e-13, [3]),
+        ("scaled", 1e-6, []),
+    ])
+    def test_collinear_columns_match_least_squares(self, n, kind, noise, flagged):
+        from nbmle.estimator import _collinear_columns
+
+        rng = np.random.default_rng([n, len(kind), int(-math.log10(noise or 1))])
+        X = np.hstack([np.ones((n, 1)), rng.standard_normal((n, 2))])
+        col = {"duplicate": X[:, 1], "scaled": -37.5 * X[:, 2],
+               "sum": X[:, 1] + 3.0 * X[:, 2]}[kind]
+        u = rng.standard_normal(n)
+        col = col + noise * np.linalg.norm(col) * u / np.linalg.norm(u)
+        X = np.column_stack([X, col])
+        assert self._lstsq_flags(X) == flagged
+        assert _collinear_columns(X) == flagged
+
     def test_collinear_design_named(self):
         x = np.linspace(0.0, 1.0, 12)
         X = np.column_stack([np.ones(12), x, 2.0 * x])
@@ -93,10 +130,42 @@ class TestFitRecovery:
 
         assert abs(score_theta(ds, p) * res.theta_hat) <= 1e-8
 
-    def test_log_and_raw_theta_searches_agree(self, recovery_fit):
-        ds, res = recovery_fit
-        res_raw = fit(ds, log_theta_search=False)
-        assert res_raw.theta_hat == pytest.approx(res.theta_hat, rel=1e-6)
+
+class TestSearchCoordinates:
+    """fit searches in (beta, z = ln theta); the chain factors of that
+    change of variables must match finite differences in z."""
+
+    @staticmethod
+    def _rel(a, b):
+        return abs(a - b) / max(abs(a), abs(b), 1.0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_chain_factors_match_finite_differences(self, seed):
+        from nbmle.derivatives import finite_diff, grad_hess
+        from nbmle.estimator import _search_gradient
+
+        rng = np.random.default_rng([8, seed])
+        n, p = int(rng.integers(8, 51)), int(rng.integers(1, 5))
+        X = np.hstack([np.ones((n, 1)), rng.standard_normal((n, p - 1))])
+        beta = rng.uniform(-1.0, 1.0, size=p)
+        theta = float(rng.uniform(0.1, 5.0))
+        y = sample_counts(np.exp(X @ beta), theta, rng)
+        y[0] = max(y[0], 1)
+        ds = Dataset(y=y, X=X)
+        z, h = math.log(theta), 1e-5
+        g, H = _search_gradient(grad_hess(ds, Params(beta, theta)), theta)
+
+        def at(zv):
+            return grad_hess(ds, Params(beta, math.exp(zv)))
+
+        g_z = finite_diff(lambda zv: loglik(ds, Params(beta, math.exp(zv))), z, h)
+        h_zz = finite_diff(lambda zv: math.exp(zv) * at(zv).score_theta, z, h)
+        assert self._rel(g[p], g_z) <= 1e-5
+        assert self._rel(H[p, p], h_zz) <= 1e-5
+        for k in range(p):
+            h_bz = finite_diff(lambda zv: float(at(zv).score_beta[k]), z, h)
+            assert self._rel(H[k, p], h_bz) <= 1e-5
+            assert H[p, k] == H[k, p]
 
 
 class TestBoundaryBehaviour:
