@@ -6,7 +6,9 @@ theta * d/dtheta).  z is bounded below by ln _THETA_FLOOR: at the bound
 with a negative dispersion gradient the step and the decrement are
 computed over beta alone, and a fit that ends there reports
 boundary_theta.  Every accepted step must not decrease the
-log-likelihood (step-halving line search).  The one stopping rule is the
+log-likelihood (step-halving line search); a trial point at which the
+log-likelihood or a derivative block overflows is rejected like a worse
+one.  The one stopping rule is the
 Newton decrement: when H is negative definite and half of g . (-H)^-1 g
 in the search coordinates is at most _DECREMENT_TOL, the last step is
 taken in full and the fit is converged.  The decrement is
@@ -35,6 +37,7 @@ from .derivatives import GradHess, grad_hess
 from .exceptions import (
     AllZeroResponseError,
     CollinearColumnsError,
+    DomainError,
     InformationNotInvertible,
     LinearPredictorOverflow,
 )
@@ -208,6 +211,26 @@ def _ascent_direction(H: np.ndarray, g: np.ndarray):
     return V @ ((V.T @ g) / np.maximum(np.abs(lam), delta)), False
 
 
+def _trial(ds: Dataset, beta: np.ndarray, z: float, ll_min: float):
+    """(params, log-likelihood, derivative blocks) at a line-search trial,
+    or None when the trial is rejected.
+
+    A trial is rejected when its log-likelihood is below ll_min or when the
+    point cannot be evaluated in double precision: theta = e^z overflows,
+    |x'beta| passes the link's range, or a derivative block is not finite
+    (the next Newton step could not be taken from there).
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            params = Params(beta, math.exp(z))
+            ll = loglik(ds, params)
+            if not (math.isfinite(ll) and ll >= ll_min):
+                return None
+            return params, ll, grad_hess(ds, params)
+    except (OverflowError, LinearPredictorOverflow, DomainError):
+        return None
+
+
 def fit(ds: Dataset, opts: FitOptions | None = None) -> FitResult:
     """Maximise the NB2 log-likelihood over (beta, theta).
 
@@ -224,18 +247,15 @@ def fit(ds: Dataset, opts: FitOptions | None = None) -> FitResult:
     beta = start.beta.copy()
     z_floor = math.log(_THETA_FLOOR)
     z = math.log(max(start.theta, _THETA_FLOOR))
-
-    def ll_at(b: np.ndarray, zv: float) -> float:
-        return loglik(ds, Params(b, math.exp(zv)))
-
-    ll = ll_at(beta, z)
+    params = Params(beta, math.exp(z))
+    ll = loglik(ds, params)
+    gh = grad_hess(ds, params)
     trace = [ll]
     converged = False
     message = f"no convergence within {opts.max_iter} iterations"
 
     for iterations in range(1, opts.max_iter + 1):
-        theta = math.exp(z)
-        g, H = _search_gradient(grad_hess(ds, Params(beta, theta)), theta)
+        g, H = _search_gradient(gh, params.theta)
         # At the floor with g_z < 0 the bound is active: step in beta alone.
         free = len(g) - 1 if z <= z_floor + 1e-9 and g[-1] < 0.0 else len(g)
         d = np.zeros_like(g)
@@ -244,7 +264,7 @@ def fit(ds: Dataset, opts: FitOptions | None = None) -> FitResult:
             # The line search cannot resolve a gain this small; take the
             # full step.
             beta, z = beta + d[:-1], max(z + d[-1], z_floor)
-            ll = ll_at(beta, z)
+            ll = loglik(ds, Params(beta, math.exp(z)))
             trace.append(ll)
             converged = True
             message = "Newton decrement below tolerance"
@@ -254,17 +274,15 @@ def fit(ds: Dataset, opts: FitOptions | None = None) -> FitResult:
         for _ in range(45):
             z_new = max(z + step * d[-1], z_floor)
             b_new = beta + step * d[:-1]
-            try:
-                ll_new = ll_at(b_new, z_new)
-            except LinearPredictorOverflow:  # a rejected trial, not a bad input
-                ll_new = -math.inf
-            if math.isfinite(ll_new) and ll_new >= ll:
+            trial = _trial(ds, b_new, z_new, ll)
+            if trial is not None:
                 break
             step *= 0.5
         else:
             message = "line search found no ascent step"
             break
-        beta, z, ll = b_new, z_new, ll_new
+        beta, z = b_new, z_new
+        params, ll, gh = trial
         trace.append(ll)
 
     theta_hat = math.exp(z)

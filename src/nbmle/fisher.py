@@ -13,10 +13,13 @@ conventions are therefore computed side by side, the direct double sum is
 treated as definitional, and the element actually returned is the
 convention that matches the brute-force pmf-weighted negative Hessian.
 
-Every series reads one pmf table per observation, cut where a certified
-bound on the neglected mass Pr(Y >= J) falls below eps_tail (see
-model._pmf_table).  Both conventions are suffix sums of that table and the
-brute-force negative Hessian weights the same table.
+Every series reads each observation's pmf table, cut where a certified
+bound on the neglected mass Pr(Y >= J) falls below eps_tail.  The tables
+of all observations come from model._pmf_chunks as 2-D chunks, one row per
+observation, and the series are evaluated a chunk at a time.  Both
+conventions are suffix sums of a row and the brute-force negative Hessian
+weights the same row; rows that share a cutoff are reduced together, so
+each observation's values are those of its one-row call.
 
 Standard errors default to the observed information (the negative analytic
 Hessian), which needs no infinite sums at fit time; the expected matrix is
@@ -37,8 +40,9 @@ from .model import (
     DEFAULT_EPS_TAIL,
     Dataset,
     Params,
+    PmfChunk,
     TruncatedSum,
-    _pmf_table,
+    _pmf_chunks,
     link_mean,
 )
 from .special import _SUMMANDS, _require_positive
@@ -111,27 +115,74 @@ class InfoMatrix:
         }
 
 
-def _theta_series(lam: float, theta: float, table):
-    """The dispersion series of one observation, all read from its pmf table
-    (the tuple _pmf_table returns).
+def _by_cutoff(cutoffs: np.ndarray):
+    """Yield (positions, J) for each distinct cutoff J in a chunk."""
+    order = np.argsort(cutoffs, kind="stable")
+    ends = (np.flatnonzero(np.diff(cutoffs[order])) + 1).tolist() + [order.size]
+    start = 0
+    for end in ends:
+        yield order[start:end], int(cutoffs[order[start]])
+        start = end
 
-    Returns (sum_j w_j Pr(Y >= j), sum_j w_j Pr(Y >= j+1), brute-force
-    E[-d2 lnL/dtheta2] as a TruncatedSum), with w_j = (2j+u)/(j+u)^2 and
-    u = 1/theta.  The survivor probabilities are suffix sums of the table.
-    The brute-force value weights each count's own negative Hessian, whose
-    finite sum sum_{j<y} w_j is the running sum of w; it never reads the
-    survivor sums.
+
+def _prefix(a: np.ndarray, rows: np.ndarray, j: int) -> np.ndarray:
+    """a[rows, :j] of a chunk's table, C-contiguous: the table itself when
+    the rows are all of its rows (they then share its width as cutoff)."""
+    return a if rows.size == a.shape[0] else a[rows, :j]
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] @ b[k] (b 2-D) or a[k] @ b (b 1-D) for every row k of a.
+
+    A stacked matmul of vectors evaluates each row with the dot kernel that
+    the 1-D product of that row alone takes for the same strides, so each
+    value is the one-row value.
     """
-    pmf, cutoff, bound = table
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
+def _theta_series(lam: np.ndarray, theta: float, chunk: PmfChunk):
+    """The dispersion series of the rows of one PmfChunk, all read from its
+    table; lam is the vector of means the chunk's rows index.
+
+    Returns per-row arrays (sum_j w_j Pr(Y >= j), sum_j w_j Pr(Y >= j+1),
+    brute-force E[-d2 lnL/dtheta2], sum of the table), with
+    w_j = (2j+u)/(j+u)^2 and u = 1/theta.  The survivor probabilities are
+    suffix sums of the table.  The brute-force value weights each count's
+    own negative Hessian, whose finite sum sum_{j<y} w_j is the running sum
+    of w; it never reads the survivor sums.  Rows that share a cutoff J are
+    evaluated together over their first J counts, so every row gets the
+    value of its one-row call.
+    """
+    pmf = chunk.pmf
+    width = pmf.shape[1]
     u = 1.0 / theta
     u3 = u * u * u
-    y = np.arange(cutoff, dtype=float)
+    y = np.arange(width, dtype=float)
     w = _SUMMANDS["weights"](y, u)
-    surv = np.cumsum(pmf[::-1])[::-1]
-    cum_w = np.concatenate(([0.0], np.cumsum(w[:-1])))
-    neg_h = u3 * _theta_bracket(y, lam, theta) - u3 * cum_w
-    brute = TruncatedSum(float(pmf @ neg_h), cutoff, bound, float(np.sum(pmf)))
-    return float(w @ surv), float(w[:-1] @ surv[1:]), brute
+    u3_cum_w = np.zeros(width)
+    np.cumsum(w[:-1], out=u3_cum_w[1:])
+    u3_cum_w *= u3
+    out = np.empty((4, pmf.shape[0]))
+    for rows, j in _by_cutoff(chunk.cutoffs):
+        p = _prefix(pmf, rows, j)
+        surv = np.cumsum(p[:, ::-1], axis=1)[:, ::-1]
+        out[0, rows] = _dots(surv, w[:j])
+        out[1, rows] = _dots(surv[:, 1:], w[:j - 1])
+        del surv
+        neg_h = _theta_bracket(y[:j], lam[chunk.rows[rows], None], theta)
+        neg_h *= u3
+        neg_h -= u3_cum_w[:j]
+        out[2, rows] = _dots(p, neg_h)
+        out[3, rows] = np.sum(p, axis=1)
+    return out
+
+
+def _one_row_series(lam: float, theta: float, eps_tail: float):
+    """(the PmfChunk of one mean, its _theta_series)."""
+    lam = np.array([lam])
+    (chunk,) = _pmf_chunks(lam, theta, eps_tail)
+    return chunk, _theta_series(lam, theta, chunk)
 
 
 def brute_force_expected_neg_hessian(lam: float, theta: float,
@@ -144,7 +195,9 @@ def brute_force_expected_neg_hessian(lam: float, theta: float,
     """
     lam = _require_positive(lam, "lam")
     theta = _require_positive(theta, "theta")
-    return _theta_series(lam, theta, _pmf_table(lam, theta, eps_tail))[2]
+    chunk, (_, _, brute, weight_sum) = _one_row_series(lam, theta, eps_tail)
+    return TruncatedSum(float(brute[0]), int(chunk.cutoffs[0]),
+                        float(chunk.bounds[0]), float(weight_sum[0]))
 
 
 @dataclass(frozen=True)
@@ -166,11 +219,11 @@ def expected_trigamma_tail(lam: float, theta: float,
     theta = _require_positive(theta, "theta")
     u = 1.0 / theta
     u3 = u ** 3
-    table = _pmf_table(lam, theta, eps_tail)
-    sum_a, sum_b, brute = _theta_series(lam, theta, table)
+    chunk, (sum_a, sum_b, _, _) = _one_row_series(lam, theta, eps_tail)
+    cutoff = int(chunk.cutoffs[0])
+    pmf = chunk.pmf[0, :cutoff]
     # The double sum carries sum_{j<y} w_j as a running scalar across y, so
     # it reads neither the survivor sums nor numpy's cumsum.
-    pmf, cutoff, _ = table
     inner = np.empty(cutoff)
     running = 0.0
     for j in range(cutoff):
@@ -178,11 +231,11 @@ def expected_trigamma_tail(lam: float, theta: float,
         d = j + u
         running += (2.0 * j + u) / (d * d)
     return TailExpectation(
-        survivor_at_j=u3 * sum_a,
-        survivor_at_j_plus_1=u3 * sum_b,
+        survivor_at_j=u3 * float(sum_a[0]),
+        survivor_at_j_plus_1=u3 * float(sum_b[0]),
         double_sum=u3 * float(np.sum(inner * pmf)),
-        cutoff=brute.cutoff,
-        tail_bound=brute.tail_bound,
+        cutoff=cutoff,
+        tail_bound=float(chunk.bounds[0]),
     )
 
 
@@ -201,29 +254,32 @@ def expected_info_theta(ds: Dataset, p: Params,
     u = 1.0 / theta
     u3 = u * u * u
     lam = link_mean(ds.X, p.beta).lam
-    total_a = 0.0
-    total_b = 0.0
-    total_bf = 0.0
-    cutoffs = []
-    bounds = []
-    for lam_i in lam:
-        t = theta * lam_i
-        smooth = 2.0 * math.log1p(t) - t / (1.0 + t)
-        sum_a, sum_b, brute = _theta_series(
-            lam_i, theta, _pmf_table(lam_i, theta, eps_tail))
-        total_a += u3 * (smooth - sum_a)
-        total_b += u3 * (smooth - sum_b)
-        total_bf += brute.value
-        cutoffs.append(brute.cutoff)
-        bounds.append(brute.tail_bound)
+    series = np.empty((4, lam.size))
+    cutoffs = np.empty(lam.size, dtype=np.int64)
+    bounds = np.empty(lam.size)
+    for chunk in _pmf_chunks(lam, theta, eps_tail):
+        series[:, chunk.rows] = _theta_series(lam, theta, chunk)
+        cutoffs[chunk.rows] = chunk.cutoffs
+        bounds[chunk.rows] = chunk.bounds
+    sum_a, sum_b, brute, _ = series
+    t = theta * lam
+    # math.log1p: np.log1p may differ from it in the last place, which
+    # u3 * (smooth - sum) magnifies.
+    smooth = 2.0 * np.array([math.log1p(v) for v in t.tolist()]) - t / (1.0 + t)
+    # Totals added up one row at a time in row order (the last entry of a
+    # cumulative sum): the reported totals keep the rounding of a running
+    # sum over the observations.
+    total_a = float(np.cumsum(u3 * (smooth - sum_a))[-1])
+    total_b = float(np.cumsum(u3 * (smooth - sum_b))[-1])
+    total_bf = float(np.cumsum(brute)[-1])
     if abs(total_b - total_bf) <= abs(total_a - total_bf):
         chosen, element = "survivor_at_j_plus_1", total_b
     else:
         chosen, element = "survivor_at_j", total_a
     report = ThetaTruncationReport(
         eps_tail=eps_tail,
-        cutoffs=tuple(cutoffs),
-        tail_bounds=tuple(bounds),
+        cutoffs=tuple(cutoffs.tolist()),
+        tail_bounds=tuple(bounds.tolist()),
         survivor_at_j_total=total_a,
         survivor_at_j_plus_1_total=total_b,
         brute_force_total=total_bf,
@@ -251,12 +307,13 @@ def expected_info_cross(ds: Dataset, p: Params,
     """
     theta = p.theta
     lam = link_mean(ds.X, p.beta).lam
-    numeric = np.zeros(ds.p)
-    for i, lam_i in enumerate(lam):
-        coef = lam_i / (1.0 + theta * lam_i) ** 2
-        pmf, cutoff, _ = _pmf_table(lam_i, theta, eps_tail)
-        mean_dev = float(np.sum((np.arange(cutoff) - lam_i) * pmf))
-        numeric += coef * mean_dev * ds.X[i]
+    mean_dev = np.empty(lam.size)
+    for chunk in _pmf_chunks(lam, theta, eps_tail):
+        for rows, j in _by_cutoff(chunk.cutoffs):
+            dev = np.arange(j) - lam[chunk.rows[rows], None]
+            mean_dev[chunk.rows[rows]] = np.sum(dev * _prefix(chunk.pmf, rows, j), axis=1)
+    coef = lam / (1.0 + theta * lam) ** 2
+    numeric = np.cumsum((coef * mean_dev)[:, None] * ds.X, axis=0)[-1]
     return np.zeros(ds.p), numeric
 
 

@@ -27,7 +27,9 @@ so results are bit-reproducible for identical inputs.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -233,43 +235,128 @@ def loglik_alpha(ds: Dataset, alpha: float, beta: np.ndarray) -> float:
     return float(np.sum(terms))
 
 
-def _pmf_table(lam: float, theta: float, eps_tail: float = DEFAULT_EPS_TAIL,
-               hard_cap: int = TRUNCATION_HARD_CAP):
-    """(pmf(0..J-1) as an array, the cutoff J, a certified bound on Pr(Y >= J)).
+# A chunk of the batched pmf table holds at most about this many entries;
+# a single row longer than this is a chunk of its own.
+_CHUNK_ENTRIES = 1 << 15
+
+
+class PmfChunk(NamedTuple):
+    """Certified pmf tables of some rows of a vector of means, one per row.
+
+    pmf[k, y] = Pr(Y = y) for y < cutoffs[k] and 0 from cutoffs[k] on, for
+    the mean lam[rows[k]]; bounds[k] is the certified bound on
+    Pr(Y >= cutoffs[k]).  pmf is C-contiguous with width max(cutoffs).
+    """
+
+    rows: np.ndarray
+    pmf: np.ndarray
+    cutoffs: np.ndarray
+    bounds: np.ndarray
+
+
+def _cap_error(lam: float, theta: float, hard_cap: int) -> TruncationCapExceeded:
+    return TruncationCapExceeded(
+        f"series not converged within {hard_cap} terms (lam={lam}, theta={theta})"
+    )
+
+
+def _pmf_chunks(lam, theta: float, eps_tail: float = DEFAULT_EPS_TAIL,
+                hard_cap: int = TRUNCATION_HARD_CAP):
+    """Yield the certified pmf table of every mean in lam, as PmfChunks.
 
     ln pmf is the cumulative sum of ln rho_y, where
     rho_y = pmf(y+1)/pmf(y) = r (y + alpha) / (y + 1) and r = lam/(lam+alpha).
     Past the mode rho_y < 1 and moves monotonically toward r, so no later
     ratio exceeds max(r, rho_J) and Pr(Y >= J) <= pmf(J) / (1 - max(r, rho_J)).
-    J is the first count past the floor lam + 10*sqrt(lam*(1+theta*lam)),
-    which keeps the moment mass inside the table, where that bound is below
-    eps_tail.  The table starts at the floor and doubles in length until
-    the bound holds; TruncationCapExceeded is raised when J would pass
-    hard_cap.
+    A row's cutoff J is the first count at or past its floor
+    lam + 10*sqrt(lam*(1+theta*lam)), which keeps the moment mass inside
+    the table, where that bound is below eps_tail.
+
+    Rows are sorted by floor and evaluated as 2-D tables of at most about
+    _CHUNK_ENTRIES entries, each as wide as the largest floor in it plus
+    one.  Rows whose bound has not fallen below eps_tail within the width
+    are evaluated again at twice the width.  Every operation acts on each
+    row alone, so a row's table, cutoff and bound do not depend on the
+    other rows.  TruncationCapExceeded, naming the row's mean, is raised
+    when a cutoff would pass hard_cap.
     """
     if eps_tail <= 0.0:
         raise DomainError("eps_tail must be positive")
+    lam = np.asarray(lam, dtype=float).reshape(-1)
+    floors = np.ceil(lam + 10.0 * np.sqrt(lam * (1.0 + theta * lam)))
+    if floors.max() > hard_cap:
+        raise _cap_error(float(lam[np.argmax(floors > hard_cap)]), theta, hard_cap)
+    floors = floors.astype(np.int64)
+    order = np.argsort(floors, kind="stable")
+    widths = (floors[order] + 1).tolist()
+    work = deque()
+    i = 0
+    while i < len(widths):
+        # As many rows as fit when the chunk is as wide as its last row.
+        k = i + 1
+        while k < len(widths) and (k + 1 - i) * widths[k] <= _CHUNK_ENTRIES:
+            k += 1
+        work.append((order[i:k], widths[k - 1]))
+        i = k
     alpha = 1.0 / theta
     r = lam / (lam + alpha)
-    log_pmf0 = -alpha * math.log1p(lam / alpha)
-    start = math.ceil(lam + 10.0 * math.sqrt(lam * (1.0 + theta * lam)))
-    size = start + 1
-    while start <= hard_cap:
-        size = min(size, hard_cap + 1)
-        y = np.arange(size, dtype=float)
-        rho = r * (y + alpha) / (y + 1.0)
-        pmf = np.exp(np.cumsum(np.concatenate(([log_pmf0], np.log(rho[:-1])))))
-        room = 1.0 - np.maximum(r, rho[start:])
-        hits = np.flatnonzero(pmf[start:] < eps_tail * room)
-        if hits.size:
-            k = int(hits[0])
-            return pmf[:start + k], start + k, float(pmf[start + k] / room[k])
-        if size > hard_cap:
-            break
-        size *= 2
-    raise TruncationCapExceeded(
-        f"series not converged within {hard_cap} terms (lam={lam}, theta={theta})"
-    )
+    # math.log1p, as in nb_logpmf: np.log1p may differ in the last place.
+    log_pmf0 = -alpha * np.array([math.log1p(v) for v in (lam / alpha).tolist()])
+    while work:
+        rows, width = work.popleft()
+        chunk, pending = _pmf_block(rows, r[rows], log_pmf0[rows], floors[rows],
+                                    width, alpha, eps_tail)
+        if chunk is not None:
+            yield chunk
+        if pending.size:
+            if width > hard_cap:
+                raise _cap_error(float(lam[pending.min()]), theta, hard_cap)
+            width = min(2 * width, hard_cap + 1)
+            step = max(1, _CHUNK_ENTRIES // width)
+            work.extend((pending[j:j + step], width)
+                        for j in range(0, pending.size, step))
+
+
+def _pmf_block(rows, r, log_pmf0, starts, width, alpha, eps_tail):
+    """One 2-D pass of _pmf_chunks over the given rows, width entries each,
+    from their r, ln pmf(0) and floors: (the PmfChunk of the rows whose
+    cutoff lies within the width, or None; the rows to evaluate again
+    wider)."""
+    y = np.arange(width, dtype=float)
+    rho = np.multiply.outer(r, y + alpha)
+    rho /= y + 1.0
+    table = np.empty_like(rho)
+    table[:, 0] = log_pmf0
+    np.log(rho[:, :-1], out=table[:, 1:])
+    np.cumsum(table, axis=1, out=table)
+    np.exp(table, out=table)
+    # A count stops its row when it is at or past the row's floor and
+    # pmf < eps_tail * room, room = 1 - max(r, rho).
+    room = np.subtract(1.0, np.maximum(rho, r[:, None], out=rho), out=rho)
+    del rho
+    room[y < starts[:, None]] = 0.0
+    hit = table < eps_tail * room
+    done = hit.any(axis=1)
+    if not done.any():
+        return None, rows
+    pending = rows[~done]
+    cutoffs = np.argmax(hit[done], axis=1)
+    bounds = table[done, cutoffs] / room[done, cutoffs]
+    del hit, room
+    size = int(cutoffs.max())
+    pmf = table[done, :size]
+    del table
+    pmf[y[:size] >= cutoffs[:, None]] = 0.0
+    return PmfChunk(rows[done], pmf, cutoffs, bounds), pending
+
+
+def _pmf_table(lam: float, theta: float, eps_tail: float = DEFAULT_EPS_TAIL,
+               hard_cap: int = TRUNCATION_HARD_CAP):
+    """(pmf(0..J-1) as an array, the cutoff J, a certified bound on Pr(Y >= J))
+    for one mean: the one-row case of _pmf_chunks."""
+    (chunk,) = _pmf_chunks([lam], theta, eps_tail, hard_cap)
+    cutoff = int(chunk.cutoffs[0])
+    return chunk.pmf[0, :cutoff], cutoff, float(chunk.bounds[0])
 
 
 def tail_prob(j: int, lam: float, theta: float) -> float:

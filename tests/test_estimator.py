@@ -270,6 +270,39 @@ class TestScaleInvariantConvergence:
         monkeypatch.setattr(est, "init_params", lambda d: Params(start(d).beta, 0.5))
         self._assert_stationary(ds, fit(ds))
 
+    @staticmethod
+    def _mixed_poisson_dataset(k):
+        rng = np.random.default_rng([7, k])
+        n = [50, 200, 2000][rng.integers(3)]
+        b0 = rng.uniform(-1, 6)
+        theta = 10 ** rng.uniform(-3, 1.5)
+        X = np.column_stack([np.ones(n), rng.standard_normal(n)])
+        y = rng.poisson(np.exp(X @ [b0, 0.3]) * rng.gamma(1 / theta, theta, size=n))
+        return Dataset(y=y, X=X)
+
+    @pytest.mark.parametrize("k, e", [(53, -6), (66, -3), (90, 4), (206, -5)])
+    def test_trial_theta_past_exp_range_is_halved(self, monkeypatch, k, e):
+        """A trial z = ln theta above 709.78 overflows exp(); the line search
+        must shorten the step, not raise OverflowError."""
+        import nbmle.estimator as est
+
+        ds = self._mixed_poisson_dataset(k)
+        start = est.init_params
+        monkeypatch.setattr(est, "init_params", lambda d: Params(start(d).beta, 10.0 ** e))
+        assert isinstance(fit(ds), FitResult)
+
+    def test_trial_with_overflowing_derivatives_is_halved(self, monkeypatch):
+        """From theta0 = 1e6 a trial step reaches x'beta of several hundred,
+        where the log-likelihood is finite and higher but (1 + theta*lam)^2
+        overflows; no Newton step could be taken from there, so the trial
+        must be rejected."""
+        import nbmle.estimator as est
+
+        ds = self._mixed_poisson_dataset(112)
+        start = est.init_params
+        monkeypatch.setattr(est, "init_params", lambda d: Params(start(d).beta, 1e6))
+        assert isinstance(fit(ds), FitResult)
+
     def test_overflow_at_the_start_still_raises(self, monkeypatch):
         import nbmle.estimator as est
 

@@ -22,6 +22,10 @@ from nbmle import (
     observed_info,
     truncated_pmf_sum,
 )
+import nbmle.model as model
+from nbmle.derivatives import _theta_bracket
+from nbmle.fisher import _theta_series
+from nbmle.model import _pmf_table
 from conftest import make_instance, simulate_dataset
 
 LAMBDA_GRID = (0.2, 1.0, 5.0)
@@ -194,6 +198,72 @@ class TestExpectedInfoCross:
         analytic, numeric = expected_info_cross(ds, p)
         np.testing.assert_array_equal(analytic, 0.0)
         assert np.abs(numeric).max() < 1e-8
+
+
+class TestBatchedSeries:
+    """The expected-information series read 2-D pmf tables; a chunk cap of
+    256 entries makes chunks of several rows and doubles rows."""
+
+    @staticmethod
+    def _dataset():
+        rng = np.random.default_rng(11)
+        n = 200
+        X = np.column_stack([np.ones(n), rng.uniform(-3.0, 3.0, n)])
+        return Dataset(y=rng.integers(0, 50, n), X=X)
+
+    @staticmethod
+    def _per_row_cross(ds, p):
+        """The cross block's numeric vector row by row from one-row tables."""
+        numeric = np.zeros(ds.p)
+        for i, lam_i in enumerate(link_mean(ds.X, p.beta).lam):
+            pmf, cutoff, _ = _pmf_table(lam_i, p.theta)
+            mean_dev = float(np.sum((np.arange(cutoff) - lam_i) * pmf))
+            numeric += lam_i / (1.0 + p.theta * lam_i) ** 2 * mean_dev * ds.X[i]
+        return numeric
+
+    @pytest.mark.parametrize("theta", [1e-6, 0.05, 0.8, 5.0])
+    def test_cross_matches_the_per_row_sum(self, monkeypatch, theta):
+        ds = self._dataset()
+        p = Params(np.array([1.3, 1.2]), theta)  # lam from 0.1 to 1.3e2
+        monkeypatch.setattr(model, "_CHUNK_ENTRIES", 256)
+        _, numeric = expected_info_cross(ds, p)
+        np.testing.assert_allclose(numeric, self._per_row_cross(ds, p), rtol=1e-13, atol=0)
+
+    @staticmethod
+    def _one_dimensional_series(lam, theta):
+        """The dispersion series of one mean on its 1-D table."""
+        pmf, cutoff, _ = _pmf_table(lam, theta)
+        u = 1.0 / theta
+        u3 = u * u * u
+        y = np.arange(cutoff, dtype=float)
+        w = (2.0 * y + u) / (y + u) ** 2
+        surv = np.cumsum(pmf[::-1])[::-1]
+        cum_w = np.concatenate(([0.0], np.cumsum(w[:-1])))
+        neg_h = u3 * _theta_bracket(y, lam, theta) - u3 * cum_w
+        return w @ surv, w[:-1] @ surv[1:], pmf @ neg_h, np.sum(pmf)
+
+    @pytest.mark.parametrize("theta", [1e-6, 0.05, 0.8, 5.0])
+    def test_rows_match_the_1d_series_bit_for_bit(self, monkeypatch, theta):
+        lam = link_mean(self._dataset().X, np.array([1.3, 1.2])).lam
+        monkeypatch.setattr(model, "_CHUNK_ENTRIES", 256)
+        for chunk in model._pmf_chunks(lam, theta):
+            series = _theta_series(lam, theta, chunk)
+            for k, i in enumerate(chunk.rows):
+                assert tuple(series[:, k]) == self._one_dimensional_series(lam[i], theta)
+
+    @pytest.mark.parametrize("theta", [1e-6, 0.05, 0.8, 5.0])
+    def test_theta_element_independent_of_chunking(self, monkeypatch, theta):
+        ds = self._dataset()
+        p = Params(np.array([1.3, 1.2]), theta)
+        element, report = expected_info_theta(ds, p)
+        monkeypatch.setattr(model, "_CHUNK_ENTRIES", 256)
+        assert expected_info_theta(ds, p) == (element, report)
+        lam = link_mean(ds.X, p.beta).lam
+        rows = [expected_trigamma_tail(lam_i, theta) for lam_i in lam]
+        assert report.cutoffs == tuple(r.cutoff for r in rows)
+        assert report.tail_bounds == tuple(r.tail_bound for r in rows)
+        brute = sum(brute_force_expected_neg_hessian(lam_i, theta).value for lam_i in lam)
+        assert report.brute_force_total == pytest.approx(brute, rel=1e-12)
 
 
 class TestObservedInfo:

@@ -18,7 +18,8 @@ from nbmle import (
     tail_prob,
     truncated_pmf_sum,
 )
-from nbmle.model import _pmf_table
+import nbmle.model as model
+from nbmle.model import _pmf_chunks, _pmf_table
 from conftest import make_instance
 
 
@@ -211,3 +212,83 @@ class TestPmfTable:
         assert len(pmf) == cutoff >= lam + 10.0 * math.sqrt(lam * (1.0 + theta * lam))
         assert bound < 1e-12
         assert bound >= stats.nbinom.sf(cutoff - 1, alpha, alpha / (alpha + lam))
+
+
+class TestBatchedPmfTable:
+    """Rows evaluated together, with a chunk cap small enough that chunks
+    hold several rows and rows are doubled, against the one-row call."""
+
+    LAM = np.concatenate([[1e-3, 2e3],
+                          10 ** np.random.default_rng(5).uniform(-3, math.log10(2e3), 38)])
+
+    @staticmethod
+    def _passes(monkeypatch):
+        """Shrink the chunk cap and record (rows, width, pending) per pass."""
+        monkeypatch.setattr(model, "_CHUNK_ENTRIES", 256)
+        passes = []
+        block = model._pmf_block
+
+        def recorded(rows, r, log_pmf0, starts, width, alpha, eps_tail):
+            chunk, pending = block(rows, r, log_pmf0, starts, width, alpha, eps_tail)
+            passes.append((rows.size, width, pending.size))
+            return chunk, pending
+
+        monkeypatch.setattr(model, "_pmf_block", recorded)
+        return passes
+
+    @staticmethod
+    def _one_dimensional(lam, theta, eps_tail=1e-12):
+        """The recurrence on one 1-D table, doubled from the floor until a
+        count at or past the floor stops it: (pmf, cutoff, bound)."""
+        alpha = 1.0 / theta
+        r = lam / (lam + alpha)
+        log_pmf0 = -alpha * math.log1p(lam / alpha)
+        start = math.ceil(lam + 10.0 * math.sqrt(lam * (1.0 + theta * lam)))
+        size = start + 1
+        while True:
+            y = np.arange(size, dtype=float)
+            rho = r * (y + alpha) / (y + 1.0)
+            pmf = np.exp(np.cumsum(np.concatenate(([log_pmf0], np.log(rho[:-1])))))
+            room = 1.0 - np.maximum(r, rho[start:])
+            hits = np.flatnonzero(pmf[start:] < eps_tail * room)
+            if hits.size:
+                k = int(hits[0])
+                return pmf[:start + k], start + k, float(pmf[start + k] / room[k])
+            size *= 2
+
+    @pytest.mark.parametrize("theta", [1e-6, 0.05, 0.8, 5.0])
+    def test_one_row_call_matches_the_1d_recurrence(self, theta):
+        for lam in self.LAM:
+            pmf, cutoff, bound = _pmf_table(lam, theta)
+            ref_pmf, ref_cutoff, ref_bound = self._one_dimensional(lam, theta)
+            assert (cutoff, bound) == (ref_cutoff, ref_bound)
+            np.testing.assert_array_equal(pmf, ref_pmf)
+
+    @pytest.mark.parametrize("theta", [1e-6, 0.05, 0.8, 5.0])
+    def test_rows_match_the_one_row_call_bit_for_bit(self, monkeypatch, theta):
+        passes = self._passes(monkeypatch)
+        chunks = list(_pmf_chunks(self.LAM, theta))
+        assert any(rows > 1 for rows, _, _ in passes)
+        assert any(pending > 0 for _, _, pending in passes)
+        seen = np.concatenate([c.rows for c in chunks])
+        np.testing.assert_array_equal(np.sort(seen), np.arange(self.LAM.size))
+        for c in chunks:
+            assert c.pmf.flags.c_contiguous
+            assert c.pmf.shape == (c.rows.size, c.cutoffs.max())
+            for k, i in enumerate(c.rows):
+                pmf, cutoff, bound = _pmf_table(self.LAM[i], theta)
+                assert c.cutoffs[k] == cutoff
+                assert c.bounds[k] == bound
+                np.testing.assert_array_equal(c.pmf[k, :cutoff], pmf)
+                assert not c.pmf[k, cutoff:].any()
+
+    def test_floor_past_hard_cap_names_the_row(self):
+        with pytest.raises(TruncationCapExceeded, match=r"lam=2000\.0, theta=5\.0"):
+            list(_pmf_chunks(np.array([1.0, 2e3, 5.0]), 5.0, hard_cap=10_000))
+
+    def test_cutoff_past_hard_cap_names_the_row(self, monkeypatch):
+        # The floor of lam=2000 (46,724) is inside the cap, its cutoff is not.
+        passes = self._passes(monkeypatch)
+        with pytest.raises(TruncationCapExceeded, match=r"lam=2000\.0, theta=5\.0"):
+            list(_pmf_chunks(np.array([1.0, 2e3, 5.0]), 5.0, hard_cap=100_000))
+        assert max(width for _, width, _ in passes) == 100_001
