@@ -22,6 +22,9 @@ gamma-free derivatives are
                                      - t_i(1+t_i)) / (1+t_i)^2
                                     + 2 ln(1+t_i) ] }
 
+grad_hess also returns the log-likelihood at the point (GradHess.loglik),
+by model.loglik's expression over the link and ln(1+t_i) it already holds.
+
 All functions are pure; per-observation reductions use numpy's pairwise
 summation.
 """
@@ -35,14 +38,15 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DomainError
-from .model import Dataset, Params, link_mean
+from .model import Dataset, Params, _loglik_sum, link_mean
 from .special import _finite_sums, _gamma_diff, digamma, trigamma
 
 
 @dataclass(frozen=True)
 class GradHess:
-    """All first and second derivative blocks at one parameter point."""
+    """The log-likelihood and every derivative block at one parameter point."""
 
+    loglik: float
     score_beta: np.ndarray
     score_theta: float
     h_bb: np.ndarray
@@ -63,26 +67,33 @@ def _theta_bracket(y: np.ndarray, lam: np.ndarray, theta: float) -> np.ndarray:
 
 
 def grad_hess(ds: Dataset, p: Params) -> GradHess:
-    """Evaluate every derivative block at (beta, theta) in one pass.
+    """Evaluate the log-likelihood and every derivative block in one pass.
 
-    The link, 1 + theta*lam, y - lam and the per-observation finite sums
-    are computed once and shared by all five blocks.
+    The link, 1 + theta*lam, its log1p, y - lam and the per-observation
+    finite sums are computed once and shared by all six.
     """
     theta = p.theta
     u = 1.0 / theta
     y, X = ds.y, ds.X
-    lam = link_mean(X, p.beta).lam
+    link = link_mean(X, p.beta)
+    lam = link.lam
     t = theta * lam
     one = 1.0 + t
     resid = y - lam
+    log1p_t = np.log1p(t)
+    loglik = _loglik_sum(y, link.eta, theta, log1p_t)
+    score_theta = float(np.sum(
+        u * u * (-_finite_sums(y, u, "recip") + log1p_t)
+        + resid / (theta * one)
+    ))
+    # Freed before the Hessian's n-by-p temporaries, which set the peak memory.
+    del link, log1p_t
     u3 = u * u * u
     h_bb = -(X.T * (lam * (1.0 + theta * y) / one ** 2)) @ X
     return GradHess(
+        loglik=loglik,
         score_beta=X.T @ (resid / one),
-        score_theta=float(np.sum(
-            u * u * (-_finite_sums(y, u, "recip") + np.log1p(t))
-            + resid / (theta * one)
-        )),
+        score_theta=score_theta,
         h_bb=0.5 * (h_bb + h_bb.T),
         h_bt=-(X.T @ (lam * resid / one ** 2)),
         h_tt=float(np.sum(u3 * _finite_sums(y, u, "weights")

@@ -18,12 +18,13 @@ definite the step uses H with its eigenvalues replaced by their
 magnitudes; such a step proves nothing about stationarity and never
 stops the fit.
 
-Only the finite-sum derivative forms are consumed here; the literal
-gamma-function forms exist for comparison, not estimation.
+Each point the fit visits is evaluated once, by grad_hess, whose result
+carries the log-likelihood with the finite-sum derivative blocks; the
+literal gamma-function forms exist for comparison, not estimation.
 
 Standard errors come from the inverse of the observed information by
-default; expected information is available behind a flag and carries its
-truncation report.
+default, assembled from the evaluation at the last point; expected
+information is available behind a flag and carries its truncation report.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ from .exceptions import (
     InformationNotInvertible,
     LinearPredictorOverflow,
 )
-from .fisher import InfoKind, InfoMatrix, ThetaTruncationReport, expected_info, observed_info
-from .model import DEFAULT_EPS_TAIL, Dataset, Params, loglik
+from .fisher import (InfoKind, InfoMatrix, ThetaTruncationReport, expected_info,
+                     observed_info_from)
+from .model import DEFAULT_EPS_TAIL, Dataset, Params
 
 
 # The decrement g . (-H)^-1 g is the squared length of the remaining Newton
@@ -212,23 +214,20 @@ def _ascent_direction(H: np.ndarray, g: np.ndarray):
 
 
 def _trial(ds: Dataset, beta: np.ndarray, z: float, ll_min: float):
-    """(params, log-likelihood, derivative blocks) at a line-search trial,
-    or None when the trial is rejected.
-
-    A trial is rejected when its log-likelihood is below ll_min or when the
-    point cannot be evaluated in double precision: theta = e^z overflows,
-    |x'beta| passes the link's range, or a derivative block is not finite
-    (the next Newton step could not be taken from there).
-    """
+    """The evaluation at a line-search trial, or None when the trial is
+    rejected: its log-likelihood is below ll_min or not finite, or the point
+    cannot be evaluated in double precision (theta = e^z overflows, |x'beta|
+    passes the link's range, the scalar trigamma squares 1/theta to zero,
+    or a derivative block is not finite).  Near theta = e^709 the finite-sum
+    weights divide by squares that underflow to zero; the non-finite block
+    then rejects the point."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            params = Params(beta, math.exp(z))
-            ll = loglik(ds, params)
-            if not (math.isfinite(ll) and ll >= ll_min):
-                return None
-            return params, ll, grad_hess(ds, params)
-    except (OverflowError, LinearPredictorOverflow, DomainError):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            gh = grad_hess(ds, Params(beta, math.exp(z)))
+    except (OverflowError, ZeroDivisionError, LinearPredictorOverflow,
+            DomainError):
         return None
+    return gh if math.isfinite(gh.loglik) and gh.loglik >= ll_min else None
 
 
 def fit(ds: Dataset, opts: FitOptions | None = None) -> FitResult:
@@ -247,15 +246,13 @@ def fit(ds: Dataset, opts: FitOptions | None = None) -> FitResult:
     beta = start.beta.copy()
     z_floor = math.log(_THETA_FLOOR)
     z = math.log(max(start.theta, _THETA_FLOOR))
-    params = Params(beta, math.exp(z))
-    ll = loglik(ds, params)
-    gh = grad_hess(ds, params)
-    trace = [ll]
+    gh = grad_hess(ds, Params(beta, math.exp(z)))
+    trace = [gh.loglik]
     converged = False
     message = f"no convergence within {opts.max_iter} iterations"
 
     for iterations in range(1, opts.max_iter + 1):
-        g, H = _search_gradient(gh, params.theta)
+        g, H = _search_gradient(gh, math.exp(z))
         # At the floor with g_z < 0 the bound is active: step in beta alone.
         free = len(g) - 1 if z <= z_floor + 1e-9 and g[-1] < 0.0 else len(g)
         d = np.zeros_like(g)
@@ -264,8 +261,8 @@ def fit(ds: Dataset, opts: FitOptions | None = None) -> FitResult:
             # The line search cannot resolve a gain this small; take the
             # full step.
             beta, z = beta + d[:-1], max(z + d[-1], z_floor)
-            ll = loglik(ds, Params(beta, math.exp(z)))
-            trace.append(ll)
+            gh = grad_hess(ds, Params(beta, math.exp(z)))
+            trace.append(gh.loglik)
             converged = True
             message = "Newton decrement below tolerance"
             break
@@ -274,25 +271,23 @@ def fit(ds: Dataset, opts: FitOptions | None = None) -> FitResult:
         for _ in range(45):
             z_new = max(z + step * d[-1], z_floor)
             b_new = beta + step * d[:-1]
-            trial = _trial(ds, b_new, z_new, ll)
+            trial = _trial(ds, b_new, z_new, gh.loglik)
             if trial is not None:
                 break
             step *= 0.5
         else:
             message = "line search found no ascent step"
             break
-        beta, z = b_new, z_new
-        params, ll, gh = trial
-        trace.append(ll)
+        beta, z, gh = b_new, z_new, trial
+        trace.append(gh.loglik)
 
     theta_hat = math.exp(z)
-    params = Params(beta, theta_hat)
     boundary = theta_hat <= _THETA_FLOOR * (1.0 + 1e-9)
 
     if opts.info_kind is InfoKind.EXPECTED:
-        info = expected_info(ds, params, opts.eps_tail)
+        info = expected_info(ds, Params(beta, theta_hat), opts.eps_tail)
     else:
-        info = observed_info(ds, params)
+        info = observed_info_from(gh)
     try:
         se = standard_errors(info)
     except InformationNotInvertible:
@@ -304,7 +299,7 @@ def fit(ds: Dataset, opts: FitOptions | None = None) -> FitResult:
         beta_hat=beta,
         theta_hat=theta_hat,
         se=se,
-        loglik_at_mle=ll,
+        loglik_at_mle=gh.loglik,
         iterations=iterations,
         converged=converged,
         boundary_theta=boundary,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import _theta_bracket, grad_hess
+from .derivatives import GradHess, _theta_bracket, grad_hess
 from .exceptions import DomainError
 from .model import (
     DEFAULT_EPS_TAIL,
@@ -319,13 +319,12 @@ def expected_info_cross(ds: Dataset, p: Params,
 
 def observed_info(ds: Dataset, p: Params) -> InfoMatrix:
     """Negative analytic Hessian assembled into a (p+1) x (p+1) matrix."""
-    gh = grad_hess(ds, p)
-    k = ds.p + 1
-    m = np.empty((k, k))
-    m[:-1, :-1] = -gh.h_bb
-    m[:-1, -1] = -gh.h_bt
-    m[-1, :-1] = -gh.h_bt
-    m[-1, -1] = -gh.h_tt
+    return observed_info_from(grad_hess(ds, p))
+
+
+def observed_info_from(gh: GradHess) -> InfoMatrix:
+    """The observed information from derivative blocks already evaluated."""
+    m = -np.block([[gh.h_bb, gh.h_bt[:, None]], [gh.h_bt, gh.h_tt]])
     return InfoMatrix(kind=InfoKind.OBSERVED, m=m)
 
 

@@ -46,6 +46,9 @@ class IdentityId(enum.Enum):
 DEFAULT_Y_GRID = (0, 1, 2, 5, 10, 50)
 DEFAULT_SCALE_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 
+# Tolerance of the two finite-sum identities, which hold to rounding.
+TOL_SUM = 1e-9
+
 # Finite-difference steps for the chain reference values, sized so the
 # truncation error stays well under the default 1e-6 / 1e-4 tolerances at
 # the stiffest default grid point (y=50, theta=0.1).
@@ -137,7 +140,7 @@ def _evaluate(identity, grid, point_fn, pair_tols):
     )
 
 
-def check_digamma_sum(grid=None, tol: float = 1e-9) -> IdentityReport:
+def check_digamma_sum(grid=None, tol: float = TOL_SUM) -> IdentityReport:
     """Digamma difference vs its finite-sum form, on (y, alpha) points.
 
     Compares Psi(y + alpha) - Psi(alpha) with sum_{j<y} 1/(j + alpha).
@@ -235,7 +238,7 @@ def check_trigamma_chain(grid=None, tol: float = 1e-4) -> IdentityReport:
     )
 
 
-def check_trigamma_sum(grid=None, tol: float = 1e-9,
+def check_trigamma_sum(grid=None, tol: float = TOL_SUM,
                        algebra_tol: float = 1e-12) -> IdentityReport:
     """Trigamma difference vs squared-reciprocal sums, on (y, alpha) points.
 
@@ -281,12 +284,12 @@ def check_trigamma_sum(grid=None, tol: float = 1e-9,
     return report
 
 
-def run_all_checks(grid=None, tol_sum: float = 1e-9, tol_first: float = 1e-6,
+def run_all_checks(grid=None, tol_first: float = 1e-6,
                    tol_second: float = 1e-4) -> dict:
     """Run the four identity checks; returns {IdentityId: IdentityReport}."""
     return {
-        IdentityId.DIGAMMA_SUM: check_digamma_sum(grid, tol_sum),
+        IdentityId.DIGAMMA_SUM: check_digamma_sum(grid),
         IdentityId.DIGAMMA_CHAIN: check_digamma_chain(grid, tol_first),
         IdentityId.TRIGAMMA_CHAIN: check_trigamma_chain(grid, tol_second),
-        IdentityId.TRIGAMMA_SUM: check_trigamma_sum(grid, tol_sum),
+        IdentityId.TRIGAMMA_SUM: check_trigamma_sum(grid),
     }

@@ -50,6 +50,8 @@ class QuadratureSpec:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
+# numpy's Poisson sampler refuses a mean above this (numpy.random._common).
+_POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
 def _log_gamma_density(u: float, alpha: float) -> float:
@@ -225,8 +227,12 @@ def sample_counts(lam, theta: float, rng: np.random.Generator) -> np.ndarray:
         raise DomainError("lam must be positive and finite")
     theta = _require_positive(theta, "theta")
     alpha = 1.0 / theta
-    u = rng.gamma(shape=alpha, scale=theta, size=lam.shape)
-    return rng.poisson(lam * u).astype(np.int64)
+    mean = rng.gamma(shape=alpha, scale=theta, size=lam.shape)
+    mean *= lam  # in place: the Poisson means lam * u
+    if np.any(mean > _POISSON_LAM_MAX):
+        raise DomainError(f"Poisson mean lam*u = {float(mean.max())!r} exceeds "
+                          f"the sampler's limit {_POISSON_LAM_MAX!r}")
+    return rng.poisson(mean).astype(np.int64)
 
 
 def sample_nb(lam: float, theta: float, seed: int, n: int) -> np.ndarray:

@@ -199,21 +199,25 @@ def _ln_factorial(y: np.ndarray) -> np.ndarray:
     return _finite_sums(y, 1.0, "log")
 
 
-def loglik(ds: Dataset, p: Params) -> float:
-    """Log-likelihood in the dispersion parameterisation (beta, theta)."""
-    theta = p.theta
+def _loglik_sum(y: np.ndarray, eta: np.ndarray, theta: float,
+                log1p_t: np.ndarray) -> float:
+    """The finite-sum log-likelihood from the linear predictors and
+    ln(1 + theta*lambda), which derivatives.grad_hess also reads."""
     u = 1.0 / theta
-    link = link_mean(ds.X, p.beta)
-    lam, eta = link.lam, link.eta
-    y = ds.y
     terms = (
         _finite_sums(y, u, "log")
         - _ln_factorial(y)
         + y * eta
         + y * math.log(theta)
-        - (u + y) * np.log1p(theta * lam)
+        - (u + y) * log1p_t
     )
     return float(np.sum(terms))
+
+
+def loglik(ds: Dataset, p: Params) -> float:
+    """Log-likelihood in the dispersion parameterisation (beta, theta)."""
+    link = link_mean(ds.X, p.beta)
+    return _loglik_sum(ds.y, link.eta, p.theta, np.log1p(p.theta * link.lam))
 
 
 def loglik_alpha(ds: Dataset, alpha: float, beta: np.ndarray) -> float:

@@ -262,6 +262,16 @@ class TestSimulate:
         b = simulate_to(tmp_path, "b.csv", seed=6)
         assert a.read_bytes() != b.read_bytes()
 
+    def test_mean_past_the_poisson_limit_is_input_error(self, capsys):
+        capsys.readouterr()
+        assert run(["simulate", "--beta", 50, "--theta", 0.5, "--n", 3,
+                    "--seed", 1]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Poisson mean lam*u = ")
+        assert captured.err.strip().endswith(
+            "exceeds the sampler's limit 9.223372006484771e+18")
+
     def test_zero_theta_rejected(self, tmp_path):
         code = run(["simulate", "--beta", "0.5", "--theta", "0", "--n", 10,
                     "--seed", 1, "--output", tmp_path / "x.csv"])

@@ -358,3 +358,14 @@ class TestSharedLink:
         ds, p = make_instance(rng)
         loglik(ds, p)
         assert len(link_calls) == 1
+
+    def test_grad_hess_carries_the_loglik_bit_for_bit(self, rng):
+        from nbmle.special import LARGE_COUNT_SWITCH
+
+        for k in range(30):
+            ds, p = make_instance(rng)
+            if k % 10 == 9:
+                y = ds.y.copy()
+                y[0] = LARGE_COUNT_SWITCH + 17 * k
+                ds = Dataset(y=y, X=ds.X)
+            assert grad_hess(ds, p).loglik == loglik(ds, p)

@@ -303,6 +303,17 @@ class TestScaleInvariantConvergence:
         monkeypatch.setattr(est, "init_params", lambda d: Params(start(d).beta, 1e6))
         assert isinstance(fit(ds), FitResult)
 
+    @pytest.mark.parametrize("z", [400.0, 709.0])
+    def test_trial_with_underflowing_shift_is_rejected(self, z):
+        """Past LARGE_COUNT_SWITCH the dispersion blocks take the gamma
+        forms, whose trigamma at 1/theta = e^-z squares it to zero."""
+        from nbmle.estimator import _trial
+        from nbmle.special import LARGE_COUNT_SWITCH
+
+        X = np.column_stack([np.ones(4), [0.1, 0.2, -0.3, 0.5]])
+        ds = Dataset(y=[LARGE_COUNT_SWITCH + 17, 3, 0, 5], X=X)
+        assert _trial(ds, np.array([1.0, 0.3]), z, -math.inf) is None
+
     def test_overflow_at_the_start_still_raises(self, monkeypatch):
         import nbmle.estimator as est
 
@@ -343,6 +354,70 @@ class TestIndefiniteHessianStep:
         d, newton = _ascent_direction(H, g)
         assert newton
         np.testing.assert_array_equal(d, np.linalg.solve(H, -g))
+
+
+class TestOneEvaluationPerPoint:
+    """The fit evaluates each point it visits once, by grad_hess, and reads
+    the log-likelihood and the observed information from those
+    evaluations."""
+
+    PROBE = dict(n=2000, beta=(0.5, -0.3), theta=0.8)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import nbmle.derivatives
+        import nbmle.estimator
+        import nbmle.fisher
+        import nbmle.model
+        from nbmle import grad_hess, link_mean
+
+        calls = {"link_mean": 0, "grad_hess": [], "loglik": 0}
+
+        def counting_link(X, beta):
+            calls["link_mean"] += 1
+            return link_mean(X, beta)
+
+        def recording_grad_hess(ds, p):
+            gh = grad_hess(ds, p)
+            calls["grad_hess"].append((p, gh))
+            return gh
+
+        def counting_loglik(ds, p):
+            calls["loglik"] += 1
+            return loglik(ds, p)
+
+        monkeypatch.setattr(nbmle.derivatives, "link_mean", counting_link)
+        monkeypatch.setattr(nbmle.model, "link_mean", counting_link)
+        monkeypatch.setattr(nbmle.estimator, "grad_hess", recording_grad_hess)
+        monkeypatch.setattr(nbmle.fisher, "grad_hess", recording_grad_hess)
+        monkeypatch.setattr(nbmle.estimator, "loglik", counting_loglik,
+                            raising=False)
+        return calls
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_evaluation_per_point(self, calls, seed):
+        ds = simulate_dataset(seed, **self.PROBE)
+        res = fit(ds)
+        assert res.converged, res.message
+        assert calls["link_mean"] == res.iterations + 1
+        assert len(calls["grad_hess"]) == res.iterations + 1
+        assert calls["loglik"] == 0
+
+    def test_result_reads_the_last_evaluation(self, calls):
+        from nbmle.fisher import observed_info, observed_info_from
+
+        ds = simulate_dataset(4, **self.PROBE)
+        res = fit(ds)
+        p_last, gh_last = calls["grad_hess"][-1]
+        np.testing.assert_array_equal(p_last.beta, res.beta_hat)
+        assert p_last.theta == res.theta_hat
+        assert res.loglik_at_mle == gh_last.loglik == res.loglik_trace[-1]
+        assert len(calls["grad_hess"]) == res.iterations + 1
+        assert res.loglik_trace == tuple(gh.loglik for _, gh in calls["grad_hess"])
+        p = Params(res.beta_hat, res.theta_hat)
+        assert res.info.kind is InfoKind.OBSERVED
+        np.testing.assert_array_equal(res.info.m, observed_info(ds, p).m)
+        np.testing.assert_array_equal(res.info.m, observed_info_from(gh_last).m)
 
 
 class TestStandardErrors:
