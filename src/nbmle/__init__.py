@@ -51,7 +51,6 @@ from .identities import (
     default_grid,
 )
 from .mixture import (
-    QuadratureSpec,
     gamma_density,
     mixture_pmf,
     nb_mean_bruteforce,

@@ -42,8 +42,7 @@ from .exceptions import (
     InformationNotInvertible,
     LinearPredictorOverflow,
 )
-from .fisher import (InfoKind, InfoMatrix, ThetaTruncationReport, expected_info,
-                     observed_info_from)
+from .fisher import InfoKind, InfoMatrix, expected_info, observed_info_from
 from .model import DEFAULT_EPS_TAIL, Dataset, Params
 
 
@@ -98,36 +97,6 @@ class FitResult:
             "loglik_trace": list(self.loglik_trace),
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FitResult":
-        info = d["info"]
-        trunc = info.get("truncation")
-        report = ThetaTruncationReport(
-            eps_tail=trunc["eps_tail"],
-            cutoffs=tuple(trunc["cutoffs"]),
-            tail_bounds=tuple(trunc["tail_bounds"]),
-            survivor_at_j_total=trunc["survivor_at_j_total"],
-            survivor_at_j_plus_1_total=trunc["survivor_at_j_plus_1_total"],
-            brute_force_total=trunc["brute_force_total"],
-            chosen=trunc["chosen"],
-        ) if trunc else None
-        return cls(
-            beta_hat=np.array(d["beta_hat"], dtype=float),
-            theta_hat=d["theta_hat"],
-            se=None if d["se"] is None else np.array(d["se"], dtype=float),
-            loglik_at_mle=d["loglik_at_mle"],
-            iterations=d["iterations"],
-            converged=d["converged"],
-            boundary_theta=d["boundary_theta"],
-            info=InfoMatrix(
-                kind=InfoKind(info["kind"]),
-                m=np.array(info["matrix"], dtype=float),
-                truncation=report,
-            ),
-            loglik_trace=tuple(d["loglik_trace"]),
-            message=d.get("message", ""),
-        )
 
 
 def init_params(ds: Dataset) -> Params:
@@ -217,15 +186,14 @@ def _trial(ds: Dataset, beta: np.ndarray, z: float, ll_min: float):
     """The evaluation at a line-search trial, or None when the trial is
     rejected: its log-likelihood is below ll_min or not finite, or the point
     cannot be evaluated in double precision (theta = e^z overflows, |x'beta|
-    passes the link's range, the scalar trigamma squares 1/theta to zero,
-    or a derivative block is not finite).  Near theta = e^709 the finite-sum
+    passes the link's range, the scalar trigamma overflows at 1/theta, or
+    a derivative block is not finite).  Near theta = e^709 the finite-sum
     weights divide by squares that underflow to zero; the non-finite block
     then rejects the point."""
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             gh = grad_hess(ds, Params(beta, math.exp(z)))
-    except (OverflowError, ZeroDivisionError, LinearPredictorOverflow,
-            DomainError):
+    except (OverflowError, LinearPredictorOverflow, DomainError):
         return None
     return gh if math.isfinite(gh.loglik) and gh.loglik >= ll_min else None
 

@@ -48,6 +48,9 @@ DEFAULT_SCALE_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 
 # Tolerance of the two finite-sum identities, which hold to rounding.
 TOL_SUM = 1e-9
+# Tolerance of the algebraic rewrites of one finite sum, which share its
+# terms and so agree more tightly.
+_ALGEBRA_TOL = 1e-12
 
 # Finite-difference steps for the chain reference values, sized so the
 # truncation error stays well under the default 1e-6 / 1e-4 tolerances at
@@ -238,8 +241,7 @@ def check_trigamma_chain(grid=None, tol: float = 1e-4) -> IdentityReport:
     )
 
 
-def check_trigamma_sum(grid=None, tol: float = TOL_SUM,
-                       algebra_tol: float = 1e-12) -> IdentityReport:
+def check_trigamma_sum(grid=None, tol: float = TOL_SUM) -> IdentityReport:
     """Trigamma difference vs squared-reciprocal sums, on (y, alpha) points.
 
     trigamma_diff       Psi'(y + alpha) - Psi'(alpha)
@@ -248,7 +250,7 @@ def check_trigamma_sum(grid=None, tol: float = TOL_SUM,
     reciprocal_form     -sum_{j<y} 1/(j + 1/theta)^2 at theta = 1/alpha
 
     The last two are algebraic rewrites of neg_sq_sum and are held to the
-    tighter algebra_tol.
+    tighter _ALGEBRA_TOL.
     """
     if grid is None:
         grid = default_grid()
@@ -277,8 +279,8 @@ def check_trigamma_sum(grid=None, tol: float = TOL_SUM,
         point,
         {
             "trigamma_diff_vs_neg_sq_sum": tol,
-            "neg_sq_sum_vs_theta_scaled_form": algebra_tol,
-            "theta_scaled_form_vs_reciprocal_form": algebra_tol,
+            "neg_sq_sum_vs_theta_scaled_form": _ALGEBRA_TOL,
+            "theta_scaled_form_vs_reciprocal_form": _ALGEBRA_TOL,
         },
     )
     return report

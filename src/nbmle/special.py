@@ -126,8 +126,13 @@ def digamma(x: float) -> float:
 
 
 def trigamma(x: float) -> float:
-    """Trigamma Psi'(x), the derivative of the digamma, for x > 0."""
+    """Trigamma Psi'(x), the derivative of the digamma, for x > 0.
+
+    Raises DomainError when Psi'(x) ~ 1/x^2 is past the double range."""
     x = _require_positive(x, "x")
+    if x * x == 0.0 or 1.0 / (x * x) == math.inf:
+        raise DomainError(f"trigamma({x!r}) overflows: 1/x^2 is not a "
+                          "finite double")
     acc = 0.0
     while x < _ASYMPTOTIC_THRESHOLD:
         acc += 1.0 / (x * x)

@@ -430,6 +430,19 @@ class TestInfo:
         assert run(["info", "--input", path, "--beta", "0.5",
                     "--theta", "1.0"]) == 1
 
+    def test_theta_past_trigamma_range_is_input_error(self, tmp_path, capsys):
+        # A count past LARGE_COUNT_SWITCH sends the dispersion blocks through
+        # trigamma(1/theta), and 1/theta = 1e-200 squares to zero.  The
+        # theta * (1 + theta * lam) products overflow first; only the exit
+        # is under test here.
+        path = tmp_path / "big.csv"
+        path.write_text("y,x1\n1000017,0.1\n3,0.2\n0,-0.3\n5,0.5\n")
+        with np.errstate(over="ignore"):
+            code = run(["info", "--input", path, "--beta", "1,0.3",
+                        "--theta", "1e200", "--info", "observed"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+
 
 class TestContract:
     """Usage errors, defaults and formats that the argument layer owns."""

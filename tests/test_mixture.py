@@ -6,7 +6,6 @@ import pytest
 from nbmle import (
     DomainError,
     QuadratureConvergenceError,
-    QuadratureSpec,
     gamma_density,
     mixture_pmf,
     nb_mean_bruteforce,
@@ -15,6 +14,7 @@ from nbmle import (
     poisson_pmf,
     sample_nb,
 )
+import nbmle.mixture
 from nbmle.mixture import sample_counts
 
 
@@ -93,7 +93,7 @@ class TestMixturePmf:
 
     def test_sweep_matches_closed_form(self):
         for lam in (0.5, 1.0, 5.0):
-            for alpha in (0.5, 1.0, 2.0, 10.0):
+            for alpha in (1e-3, 5e-3, 0.5, 1.0, 2.0, 10.0):
                 for y in range(11):
                     assert mixture_pmf(y, lam, alpha) == pytest.approx(
                         nb_pmf(y, lam, alpha), abs=1e-8
@@ -105,17 +105,20 @@ class TestMixturePmf:
                 poisson_pmf(y, 1.0), abs=1e-3
             )
 
-    def test_nonconvergence_raises_with_achieved_tolerance(self):
-        q = QuadratureSpec(rel_tol=1e-14, max_subdivisions=1)
-        with pytest.raises(QuadratureConvergenceError) as err:
-            mixture_pmf(8, 5.0, 0.5, q)
-        assert err.value.achieved_tol > 0.0
+    def test_huge_shape_stops_at_rounding_noise(self):
+        # The integrand's log terms reach alpha*ln(alpha) ~ 1e13, so two
+        # successive sums only agree to the rounding of those terms.
+        for y, lam, alpha in ((0, 2.0, 1e10), (20, 20.0, 1e9), (5, 5.0, 1e12)):
+            assert mixture_pmf(y, lam, alpha) == pytest.approx(
+                nb_pmf(y, lam, alpha), abs=1e-3
+            )
 
-    def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_subdivisions=0)
+    def test_nonconvergence_raises_with_achieved_tolerance(self, monkeypatch):
+        monkeypatch.setattr(nbmle.mixture, "_REL_TOL", 1e-14)
+        monkeypatch.setattr(nbmle.mixture, "_MAX_HALVINGS", 1)
+        with pytest.raises(QuadratureConvergenceError) as err:
+            mixture_pmf(8, 5.0, 0.5)
+        assert err.value.achieved_tol > 0.0
 
 
 class TestBruteforceMoments:

@@ -117,6 +117,8 @@ class TestTrigamma:
     def test_domain(self):
         with pytest.raises(DomainError):
             trigamma(0.0)
+        with pytest.raises(DomainError):
+            trigamma(1e-200)
 
 
 class TestFiniteSums:
