@@ -18,6 +18,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import warnings
 from array import array
@@ -267,22 +268,63 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+def _format_block(block) -> str:
+    """CSV rows of one (counts, regressors) block: str of each count and
+    repr of each regressor, so the bytes do not depend on who formats it."""
+    y, Z = block
+    cols = [map(str, y.tolist())]
+    cols += [map(repr, c) for c in Z.T.tolist()]
+    return "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
+@contextlib.contextmanager
+def _formatted(blocks: list):
+    """_format_block of each block, in order: in min(usable CPUs, blocks)
+    forked workers when that is two or more, otherwise here.
+
+    The workers are forked before the pool starts its threads and only
+    format; spawned ones would import numpy again, about 0.35 s at n = 1e6
+    on two CPUs.  The pool is closed and joined on every path.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    workers = min(cpus, len(blocks))
+    if workers >= 2:
+        import multiprocessing  # here, so importing nbmle.cli stays cheap
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers < 2:
+        yield map(_format_block, blocks)
+        return
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        yield pool.imap(_format_block, blocks, chunksize=1)
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.close()
+        pool.join()
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     beta = np.array(args.beta, dtype=float)
     p = len(beta)
     rng = np.random.default_rng(args.seed)
     Z = rng.standard_normal((args.n, p - 1))
     X = np.hstack([np.ones((args.n, 1)), Z])
-    lam = link_mean(X, beta).lam
-    y = sample_counts(lam, args.theta, rng)
+    y = sample_counts(link_mean(X, beta).lam, args.theta, rng)
+    del X  # freed before any worker is forked
     header = [args.response] + [f"x{j}" for j in range(1, p)]
-    with _output(args) as out:
+    blocks = [(y[s:s + _WRITE_ROWS], Z[s:s + _WRITE_ROWS])
+              for s in range(0, args.n, _WRITE_ROWS)]
+    # The workers start before anything is written, so none inherits an
+    # unflushed output buffer.
+    with _formatted(blocks) as texts, _output(args) as out:
         out.write(",".join(header) + "\n")
-        for s in range(0, args.n, _WRITE_ROWS):
-            e = s + _WRITE_ROWS
-            cols = [map(str, y[s:e].tolist())]
-            cols += [map(repr, c) for c in Z[s:e].T.tolist()]
-            out.write("\n".join(map(",".join, zip(*cols))) + "\n")
+        out.writelines(texts)
     return 0
 
 

@@ -77,6 +77,11 @@ def grad_hess(ds: Dataset, p: Params) -> GradHess:
     y, X = ds.y, ds.X
     link = link_mean(X, p.beta)
     lam = link.lam
+    u3 = u * u * u
+    # First, so a theta whose trigamma(1/theta) overflows raises DomainError
+    # before any block expression overflows.
+    h_tt = float(np.sum(u3 * _finite_sums(y, u, "weights")
+                        - u3 * _theta_bracket(y, lam, theta)))
     t = theta * lam
     one = 1.0 + t
     resid = y - lam
@@ -88,7 +93,6 @@ def grad_hess(ds: Dataset, p: Params) -> GradHess:
     ))
     # Freed before the Hessian's n-by-p temporaries, which set the peak memory.
     del link, log1p_t
-    u3 = u * u * u
     h_bb = -(X.T * (lam * (1.0 + theta * y) / one ** 2)) @ X
     return GradHess(
         loglik=loglik,
@@ -96,8 +100,7 @@ def grad_hess(ds: Dataset, p: Params) -> GradHess:
         score_theta=score_theta,
         h_bb=0.5 * (h_bb + h_bb.T),
         h_bt=-(X.T @ (lam * resid / one ** 2)),
-        h_tt=float(np.sum(u3 * _finite_sums(y, u, "weights")
-                          - u3 * _theta_bracket(y, lam, theta))),
+        h_tt=h_tt,
     )
 
 

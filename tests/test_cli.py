@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -25,6 +26,10 @@ def simulate_to(tmp_path, name="sim.csv", beta="0.5,-0.3", theta=0.8, n=400,
                 "--seed", seed, "--output", path])
     assert code == 0
     return path
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("simulate started a worker pool")
 
 
 class TestIngest:
@@ -257,6 +262,56 @@ class TestSimulate:
         assert lines[0] == "y,x1,x2" and lines[-1] == ""
         assert len(lines) == cli._WRITE_ROWS + 9
 
+    # Three full write blocks and five rows more; the digest was recorded
+    # before the blocks were formatted in worker processes.
+    MULTI_BLOCK = ["simulate", "--beta", "0.0,0.3,-0.2,0.25", "--theta", 0.5,
+                   "--n", 196_613, "--seed", 401]
+    MULTI_BLOCK_SHA256 = (
+        "0541f8a73cf8eb610c9b7ab969d4c36c17414b9249725eb8fad9690a857bacb9")
+
+    def test_multi_block_bytes_pinned(self, tmp_path, capsys, monkeypatch):
+        assert 196_613 == 3 * cli._WRITE_ROWS + 5
+        path = tmp_path / "m.csv"
+        assert run(self.MULTI_BLOCK + ["--output", path]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() \
+            == self.MULTI_BLOCK_SHA256
+        capsys.readouterr()
+        assert run(self.MULTI_BLOCK) == 0
+        printed = capsys.readouterr().out.encode()
+        assert hashlib.sha256(printed).hexdigest() == self.MULTI_BLOCK_SHA256
+        # One usable CPU: the blocks are formatted in this process.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+        path = tmp_path / "one_cpu.csv"
+        assert run(self.MULTI_BLOCK + ["--output", path]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() \
+            == self.MULTI_BLOCK_SHA256
+
+    def test_one_block_starts_no_pool(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+        simulate_to(tmp_path, n=2000, seed=42)
+
+    def test_workers_bounded_by_blocks_and_joined(self, tmp_path, monkeypatch):
+        real = multiprocessing.get_context
+        sizes = []
+
+        class Recording:
+            def __init__(self, method):
+                self.ctx = real(method)
+
+            def Pool(self, processes):
+                sizes.append(processes)
+                return self.ctx.Pool(processes)
+
+        monkeypatch.setattr(multiprocessing, "get_context", Recording)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(64)), raising=False)
+        simulate_to(tmp_path, n=2 * cli._WRITE_ROWS + 1, seed=1)
+        if "fork" in multiprocessing.get_all_start_methods():
+            assert sizes == [3]
+        assert multiprocessing.active_children() == []
+
     def test_different_seed_differs(self, tmp_path):
         a = simulate_to(tmp_path, "a.csv", seed=5)
         b = simulate_to(tmp_path, "b.csv", seed=6)
@@ -433,15 +488,16 @@ class TestInfo:
     def test_theta_past_trigamma_range_is_input_error(self, tmp_path, capsys):
         # A count past LARGE_COUNT_SWITCH sends the dispersion blocks through
         # trigamma(1/theta), and 1/theta = 1e-200 squares to zero.  The
-        # theta * (1 + theta * lam) products overflow first; only the exit
-        # is under test here.
+        # DomainError comes before any block expression can overflow.
         path = tmp_path / "big.csv"
         path.write_text("y,x1\n1000017,0.1\n3,0.2\n0,-0.3\n5,0.5\n")
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = run(["info", "--input", path, "--beta", "1,0.3",
                         "--theta", "1e200", "--info", "observed"])
         assert code == 1
-        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: trigamma(1e-200) overflows: 1/x^2 is not a finite double")
 
 
 class TestContract:
