@@ -519,6 +519,13 @@ def main(argv=None) -> int:
             TruncationCapExceeded, QuadratureConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader of stdout has gone (`nbmle simulate ... | head -1`).
+        # Later writes, and the flush at exit, go to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
 
 
 if __name__ == "__main__":

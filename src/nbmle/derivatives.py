@@ -24,9 +24,10 @@ gamma-free derivatives are
 
 grad_hess also returns the log-likelihood at the point (GradHess.loglik),
 by model.loglik's expression over the link and ln(1+t_i) it already holds.
+It reduces every sum over i one block of model.BLOCK_ROWS rows at a time.
 
 All functions are pure; per-observation reductions use numpy's pairwise
-summation.
+summation within a block and add the blocks in order.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DomainError
-from .model import Dataset, Params, _loglik_sum, link_mean
-from .special import _finite_sums, _gamma_diff, digamma, trigamma
+from .model import BLOCK_ROWS, Dataset, Params, _loglik_sum, _row_blocks, link_mean
+from .special import _finite_sum_tables, _gamma_diff, digamma, trigamma
 
 
 @dataclass(frozen=True)
@@ -59,47 +60,83 @@ class GradHess:
             raise DomainError("derivative blocks must be finite")
 
 
-def _theta_bracket(y: np.ndarray, lam: np.ndarray, theta: float) -> np.ndarray:
-    """Per-observation smooth part of the second theta-derivative."""
-    t = theta * lam
+def _theta_bracket(resid, t, log1p_t, theta: float):
+    """Per-observation smooth part of the second theta-derivative, from
+    y - lam, t = theta*lam and ln(1+t)."""
     one = 1.0 + t
-    return (theta * (1.0 + 2.0 * t) * (y - lam) - t * one) / one**2 + 2.0 * np.log1p(t)
+    return (theta * (1.0 + 2.0 * t) * resid - t * one) / one**2 + 2.0 * log1p_t
+
+
+def _require_finite_range(theta: float, lam: np.ndarray, y: np.ndarray) -> None:
+    """DomainError naming theta where the blocks cannot be finite doubles:
+    1/theta^2 underflows to zero, or (theta * max lam)^2 or the bracket's
+    theta (1 + 2 theta lam)(y - lam), with |y - lam| <= max(y, lam),
+    overflows."""
+    lam_max = float(lam.max())
+    t_max = theta * lam_max
+    if (1.0 / theta) * (1.0 / theta) == 0.0:
+        why = "1/theta^2 underflows to zero"
+    elif t_max * t_max == math.inf:
+        why = f"(theta*lam)^2 overflows at the largest mean, {lam_max!r}"
+    elif theta * (1.0 + 2.0 * t_max) * max(lam_max, float(y.max())) == math.inf:
+        why = "theta*(1 + 2*theta*lam)*(y - lam) overflows"
+    else:
+        return
+    raise DomainError(f"theta={theta!r} is out of range: {why}")
 
 
 def grad_hess(ds: Dataset, p: Params) -> GradHess:
     """Evaluate the log-likelihood and every derivative block in one pass.
 
-    The link, 1 + theta*lam, its log1p, y - lam and the per-observation
-    finite sums are computed once and shared by all six.
+    The link and the finite-sum tables are built once for all rows; every
+    other quantity is formed, and reduced, one block of model._row_blocks
+    at a time, with r = 1/(1+t) and a = (y - lam) r shared by all six.
+    The score and the Hessian's beta rows come from one product per block,
+    X_b' [a, lam a r, w X_b], with w the h_bb weight lam (1 + theta y) r^2.
+    The log-likelihood is model.loglik's, block for block.
     """
     theta = p.theta
     u = 1.0 / theta
     y, X = ds.y, ds.X
     link = link_mean(X, p.beta)
-    lam = link.lam
-    u3 = u * u * u
-    # First, so a theta whose trigamma(1/theta) overflows raises DomainError
-    # before any block expression overflows.
-    h_tt = float(np.sum(u3 * _finite_sums(y, u, "weights")
-                        - u3 * _theta_bracket(y, lam, theta)))
-    t = theta * lam
-    one = 1.0 + t
-    resid = y - lam
-    log1p_t = np.log1p(t)
-    loglik = _loglik_sum(y, link.eta, theta, log1p_t)
-    score_theta = float(np.sum(
-        u * u * (-_finite_sums(y, u, "recip") + log1p_t)
-        + resid / (theta * one)
-    ))
-    # Freed before the Hessian's n-by-p temporaries, which set the peak memory.
-    del link, log1p_t
-    h_bb = -(X.T * (lam * (1.0 + theta * y) / one ** 2)) @ X
+    lam, eta = link.lam, link.eta
+    # Past LARGE_COUNT_SWITCH the tables call trigamma(1/theta), whose own
+    # DomainError comes before the range check.
+    (log_u, log_1, weights, recip), keys = _finite_sum_tables(
+        y, ((u, "log"), (1.0, "log"), (u, "weights"), (u, "recip")),
+        check=lambda: _require_finite_range(theta, lam, y))
+    log_sums = log_u - log_1
+    u2, u3 = u * u, u * u * u
+    n, k = X.shape
+    ll = score_theta = h_tt = 0.0
+    cross = np.zeros((k, k + 2))
+    # Row-major per block: rows a, lam a r, then w times each column of X.
+    buf = np.empty((k + 2, min(n, BLOCK_ROWS)))
+    for s in _row_blocks(n):
+        key, lam_b, X_b = keys[s], lam[s], X[s]
+        y_b = y[s].astype(float)
+        t = theta * lam_b
+        log1p_t = np.log1p(t)
+        ll += _loglik_sum(y_b, eta[s], theta, log1p_t, log_sums[key])
+        r = 1.0 / (1.0 + t)
+        resid = y_b - lam_b
+        m = buf[:, :len(resid)]
+        a = np.multiply(resid, r, out=m[0])
+        score_theta += float(np.sum(u2 * (log1p_t - recip[key]) + u * a))
+        h_tt += float(np.sum(u3 * weights[key]
+                             - u3 * _theta_bracket(resid, t, log1p_t, theta)))
+        np.multiply(lam_b * a, r, out=m[1])
+        w = lam_b * (1.0 + theta * y_b) * r * r
+        for j in range(k):
+            np.multiply(X_b[:, j], w, out=m[2 + j])
+        cross += X_b.T @ m.T
+    h_bb = -cross[:, 2:]
     return GradHess(
-        loglik=loglik,
-        score_beta=X.T @ (resid / one),
+        loglik=ll,
+        score_beta=cross[:, 0].copy(),
         score_theta=score_theta,
         h_bb=0.5 * (h_bb + h_bb.T),
-        h_bt=-(X.T @ (lam * resid / one ** 2)),
+        h_bt=-cross[:, 1],
         h_tt=h_tt,
     )
 
@@ -155,8 +192,10 @@ def hessian_theta_gamma_form(ds: Dataset, p: Params) -> float:
     theta = p.theta
     u = 1.0 / theta
     lam = link_mean(ds.X, p.beta).lam
+    t = theta * lam
     u3 = u * u * u
-    terms = -u3 * _theta_bracket(ds.y, lam, theta) + _gamma_diff(trigamma, ds.y, u)
+    terms = (-u3 * _theta_bracket(ds.y - lam, t, np.log1p(t), theta)
+             + _gamma_diff(trigamma, ds.y, u))
     return float(np.sum(terms))
 
 

@@ -43,7 +43,7 @@ from .exceptions import (
     LinearPredictorOverflow,
 )
 from .fisher import InfoKind, InfoMatrix, expected_info, observed_info_from
-from .model import DEFAULT_EPS_TAIL, Dataset, Params
+from .model import DEFAULT_EPS_TAIL, Dataset, Params, _row_blocks
 
 
 # The decrement g . (-H)^-1 g is the squared length of the remaining Newton
@@ -103,14 +103,18 @@ def init_params(ds: Dataset) -> Params:
     """Starting values: log-count least squares for beta, method of moments
     for theta.
 
-    theta0 = clamp((s^2 - ybar) / ybar^2, 0.01, 100), from matching the NB2
-    variance ybar * (1 + theta * ybar) to the sample variance.
+    R, the R factor of [X | ln(y + 0.5)], names the collinear columns, and
+    beta0 solves R[:p, :p] beta0 = R[:p, p] by least squares, as X beta0 =
+    ln(y + 0.5) would.  theta0 = clamp((s^2 - ybar) / ybar^2, 0.01, 100),
+    from matching the NB2 variance ybar * (1 + theta * ybar) to the sample
+    variance.
     """
-    bad = _collinear_columns(ds.X)
+    R = _r_factor(ds.X, ds.y)
+    p = ds.p
+    bad = _collinear_columns(R[:p, :p])
     if bad:
         raise CollinearColumnsError([ds.names[j] for j in bad])
-    target = np.log(ds.y + 0.5)
-    beta0, *_ = np.linalg.lstsq(ds.X, target, rcond=None)
+    beta0, *_ = np.linalg.lstsq(R[:p, :p], R[:p, p], rcond=None)
     ybar = float(np.mean(ds.y))
     s2 = float(np.var(ds.y, ddof=1)) if ds.n > 1 else 0.0
     if ybar > 0.0:
@@ -121,14 +125,25 @@ def init_params(ds: Dataset) -> Params:
     return Params(beta=beta0, theta=theta0)
 
 
-def _collinear_columns(X: np.ndarray) -> list:
-    """Indices of columns numerically inside the span of earlier columns.
-
-    In X = QR, |R_jj| is the norm of column j's residual on columns 0..j-1.
+def _r_factor(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The R factor of [X | ln(y + 0.5)], by a blocked QR (TSQR; Demmel et
+    al., SIAM J. Sci. Comput. 2012): the R factors of the row blocks of
+    model._row_blocks, stacked in order and factored once more, so no copy
+    of the whole matrix is made.
     """
-    r = np.abs(np.diag(np.linalg.qr(X, mode="r")))
-    return [j for j in range(1, X.shape[1])
-            if r[j] <= 1e-10 * (1.0 + np.linalg.norm(X[:, j]))]
+    parts = [np.linalg.qr(np.column_stack((X[s], np.log(y[s] + 0.5))), mode="r")
+             for s in _row_blocks(len(X))]
+    return parts[0] if len(parts) == 1 else np.linalg.qr(np.vstack(parts), mode="r")
+
+
+def _collinear_columns(R: np.ndarray) -> list:
+    """Indices of columns numerically inside the span of earlier columns,
+    from their R factor: |R_jj| is the norm of column j's residual on
+    columns 0..j-1, and R's column j has the norm of column j.
+    """
+    r = np.abs(np.diag(R))
+    return [j for j in range(1, R.shape[1])
+            if r[j] <= 1e-10 * (1.0 + np.linalg.norm(R[:j + 1, j]))]
 
 
 def standard_errors(info: InfoMatrix) -> np.ndarray:
@@ -186,10 +201,9 @@ def _trial(ds: Dataset, beta: np.ndarray, z: float, ll_min: float):
     """The evaluation at a line-search trial, or None when the trial is
     rejected: its log-likelihood is below ll_min or not finite, or the point
     cannot be evaluated in double precision (theta = e^z overflows, |x'beta|
-    passes the link's range, the scalar trigamma overflows at 1/theta, or
-    a derivative block is not finite).  Near theta = e^709 the finite-sum
-    weights divide by squares that underflow to zero; the non-finite block
-    then rejects the point."""
+    passes the link's range, the scalar trigamma overflows at 1/theta,
+    theta is past the range of the derivative blocks, or a block is not
+    finite)."""
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             gh = grad_hess(ds, Params(beta, math.exp(z)))

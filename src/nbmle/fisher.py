@@ -170,7 +170,9 @@ def _theta_series(lam: np.ndarray, theta: float, chunk: PmfChunk):
         out[0, rows] = _dots(surv, w[:j])
         out[1, rows] = _dots(surv[:, 1:], w[:j - 1])
         del surv
-        neg_h = _theta_bracket(y[:j], lam[chunk.rows[rows], None], theta)
+        lam_j = lam[chunk.rows[rows], None]
+        t = theta * lam_j
+        neg_h = _theta_bracket(y[:j] - lam_j, t, np.log1p(t), theta)
         neg_h *= u3
         neg_h -= u3_cum_w[:j]
         out[2, rows] = _dots(p, neg_h)

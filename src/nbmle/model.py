@@ -16,8 +16,9 @@ The log-likelihood is evaluated in the finite-sum ("gamma-free") form
             + y_i ln theta - (1/theta + y_i) ln(1 + theta e^{x_i'beta}) }
 
 with ln(1 + theta*lambda) computed through log1p.  The sums over j, and
-ln(y_i!) as the same sum at shift 1, come from special._finite_sums, the
-kernel the derivatives and the identity checks also read.
+ln(y_i!) as the same sum at shift 1, come from special's finite-sum
+tables, the kernel the derivatives and the identity checks also read.  The
+sum over i runs over blocks of BLOCK_ROWS rows, in order.
 
 All operations are pure; Dataset and Params are immutable after
 construction.  Per-observation reductions use numpy's pairwise summation,
@@ -39,6 +40,7 @@ from .exceptions import (
     TruncationCapExceeded,
 )
 from .special import (
+    _finite_sum_tables,
     _finite_sums,
     _require_count,
     _require_positive,
@@ -52,6 +54,11 @@ MAX_LINEAR_PREDICTOR = 700.0
 
 DEFAULT_EPS_TAIL = 1e-12
 TRUNCATION_HARD_CAP = 10_000_000
+
+# Rows per block of the O(n) reductions in loglik and derivatives.grad_hess,
+# so that a block's temporaries stay in cache.  A constant: the blocks, and
+# the order in which their sums are added, do not depend on the machine.
+BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -151,9 +158,9 @@ def link_mean(X: np.ndarray, beta: np.ndarray) -> LinkValues:
     X = np.asarray(X, dtype=float)
     beta = np.asarray(beta, dtype=float)
     eta = X @ beta
-    bad = ~np.isfinite(eta) | (np.abs(eta) > MAX_LINEAR_PREDICTOR)
-    if np.any(bad):
-        row = int(np.argmax(bad))
+    # NaN fails both comparisons; the offending row is located only then.
+    if not (eta.max() <= MAX_LINEAR_PREDICTOR and eta.min() >= -MAX_LINEAR_PREDICTOR):
+        row = int(np.argmax(~(np.abs(eta) <= MAX_LINEAR_PREDICTOR)))
         raise LinearPredictorOverflow(row, float(eta[row]))
     return LinkValues(np.exp(eta), eta)
 
@@ -194,30 +201,35 @@ def nb_pmf_binomial_form(y: int, lam: float, alpha: int) -> float:
     return math.exp(log_comb + y * log_r + a * log_1mr)
 
 
-def _ln_factorial(y: np.ndarray) -> np.ndarray:
-    """ln(y!) = ln Gamma(y+1), via an exact cumulative table of logs."""
-    return _finite_sums(y, 1.0, "log")
+def _row_blocks(n: int) -> list:
+    """Slices of at most BLOCK_ROWS consecutive rows covering range(n), in
+    order: one slice when n <= BLOCK_ROWS."""
+    return [slice(s, s + BLOCK_ROWS) for s in range(0, n, BLOCK_ROWS)]
 
 
 def _loglik_sum(y: np.ndarray, eta: np.ndarray, theta: float,
-                log1p_t: np.ndarray) -> float:
-    """The finite-sum log-likelihood from the linear predictors and
-    ln(1 + theta*lambda), which derivatives.grad_hess also reads."""
-    u = 1.0 / theta
-    terms = (
-        _finite_sums(y, u, "log")
-        - _ln_factorial(y)
-        + y * eta
-        + y * math.log(theta)
-        - (u + y) * log1p_t
-    )
+                log1p_t: np.ndarray, log_sums: np.ndarray) -> float:
+    """The log-likelihood of one block of rows, from the counts as floats,
+    eta, ln(1 + theta*lambda) and sum_{j<y} ln(j + 1/theta) - ln(y!);
+    derivatives.grad_hess calls it on the same blocks."""
+    terms = log_sums + y * (eta + math.log(theta)) - (1.0 / theta + y) * log1p_t
     return float(np.sum(terms))
 
 
 def loglik(ds: Dataset, p: Params) -> float:
-    """Log-likelihood in the dispersion parameterisation (beta, theta)."""
+    """Log-likelihood in the dispersion parameterisation (beta, theta).
+
+    Summed block by block over _row_blocks, in order."""
+    theta = p.theta
     link = link_mean(ds.X, p.beta)
-    return _loglik_sum(ds.y, link.eta, p.theta, np.log1p(p.theta * link.lam))
+    (log_u, log_1), keys = _finite_sum_tables(ds.y, ((1.0 / theta, "log"),
+                                                      (1.0, "log")))
+    log_sums = log_u - log_1
+    ll = 0.0
+    for s in _row_blocks(ds.n):
+        ll += _loglik_sum(ds.y[s].astype(float), link.eta[s], theta,
+                          np.log1p(theta * link.lam[s]), log_sums[keys[s]])
+    return ll
 
 
 def loglik_alpha(ds: Dataset, alpha: float, beta: np.ndarray) -> float:
@@ -231,7 +243,7 @@ def loglik_alpha(ds: Dataset, alpha: float, beta: np.ndarray) -> float:
     y = ds.y
     terms = (
         _finite_sums(y, alpha, "log")
-        - _ln_factorial(y)
+        - _finite_sums(y, 1.0, "log")
         + y * np.log(lam)
         - y * math.log(alpha)
         - (alpha + y) * np.log1p(lam / alpha)

@@ -11,10 +11,11 @@ exact finite-sum form:
 The finite sums are the canonical evaluation path here; the gamma-function
 forms exist so the two routes can be checked against each other.
 _finite_sums evaluates every finite sum, for an array of counts, from one
-cumulative table; the public sum_* functions are its one-count case.  When
-a count passes LARGE_COUNT_SWITCH the kernel takes the gamma-difference
-forms instead (O(1) per distinct count instead of O(y)); the equalities
-above make the switch exact up to rounding.
+cumulative table, which _finite_sum_tables hands to blocked kernels; the
+public sum_* functions are its one-count case.  When a count passes
+LARGE_COUNT_SWITCH the kernel takes the gamma-difference forms instead
+(O(1) per distinct count instead of O(y)); the equalities above make the
+switch exact up to rounding.
 
 All functions are pure and reentrant.
 """
@@ -182,11 +183,27 @@ def _finite_sums(y: np.ndarray, a: float, kind: str) -> np.ndarray:
     max(y); when a count passes LARGE_COUNT_SWITCH every count takes the
     exact gamma-difference form instead.
     """
+    (table,), keys = _finite_sum_tables(y, ((a, kind),))
+    return table[keys]
+
+
+def _finite_sum_tables(y: np.ndarray, sums, check=lambda: None):
+    """(tables, keys), tables[k][keys] being _finite_sums(y, a, kind) for the
+    k-th (a, kind) in sums: cumulative tables indexed by the counts, or past
+    LARGE_COUNT_SWITCH the gamma forms at the distinct counts.  check() runs
+    after the gamma forms, whose scalar functions check their own range,
+    and before any summand is evaluated.
+    """
     max_y = int(y.max()) if len(y) else 0
     if max_y > LARGE_COUNT_SWITCH:
-        return _GAMMA_FORMS[kind](y, a)
-    terms = _SUMMANDS[kind](np.arange(max_y, dtype=float), a)
-    return np.concatenate(([0.0], np.cumsum(terms)))[y]
+        uniq, keys = np.unique(y, return_inverse=True)
+        tables = [_GAMMA_FORMS[kind](uniq, a) for a, kind in sums]
+        check()
+        return tables, keys
+    check()
+    j = np.arange(max_y, dtype=float)
+    return [np.concatenate(([0.0], np.cumsum(_SUMMANDS[kind](j, a))))
+            for a, kind in sums], y
 
 
 def _one_count(y: int, a: float, kind: str) -> float:

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -312,6 +313,26 @@ class TestSimulate:
             assert sizes == [3]
         assert multiprocessing.active_children() == []
 
+    def test_closed_pipe_exits_quietly(self, capsys, monkeypatch):
+        """`nbmle simulate ... | head -1`: the reader leaves after one line,
+        and the command exits 0, silently, with its workers gone."""
+        reader = subprocess.Popen(
+            [sys.executable, "-c", "import sys; sys.stdin.readline()"],
+            stdin=subprocess.PIPE)
+        out = io.TextIOWrapper(reader.stdin, encoding="utf-8")
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", out)
+        try:
+            code = run(["simulate", "--beta", "0.0,0.3,-0.2,0.25", "--theta", 0.5,
+                        "--n", 196_613, "--seed", 401])
+        finally:
+            monkeypatch.undo()
+            out.close()
+            reader.wait()
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert multiprocessing.active_children() == []
+
     def test_different_seed_differs(self, tmp_path):
         a = simulate_to(tmp_path, "a.csv", seed=5)
         b = simulate_to(tmp_path, "b.csv", seed=6)
@@ -498,6 +519,20 @@ class TestInfo:
         assert code == 1
         assert capsys.readouterr().err.splitlines()[-1] == (
             "error: trigamma(1e-200) overflows: 1/x^2 is not a finite double")
+
+
+    def test_theta_past_the_block_range_is_input_error(self, tmp_path, capsys):
+        # Small counts: the finite sums come from the cumulative tables, and
+        # the range check refuses theta before any array expression runs.
+        path = tmp_path / "small.csv"
+        path.write_text("y,x1\n17,0.1\n3,0.2\n0,-0.3\n5,0.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["info", "--input", path, "--beta", "1,0.3",
+                        "--theta", "1e200", "--info", "observed"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: theta=1e+200 is out of range: 1/theta^2 underflows to zero")
 
 
 class TestContract:

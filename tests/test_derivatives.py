@@ -1,10 +1,14 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from nbmle import (
     Dataset,
+    DomainError,
+    LinearPredictorOverflow,
     Params,
     finite_diff,
     finite_diff_second,
@@ -369,3 +373,84 @@ class TestSharedLink:
                 y[0] = LARGE_COUNT_SWITCH + 17 * k
                 ds = Dataset(y=y, X=ds.X)
             assert grad_hess(ds, p).loglik == loglik(ds, p)
+
+
+class TestBlockedKernel:
+    """grad_hess and loglik over several row blocks, the last one short."""
+
+    @staticmethod
+    def _instance(large_count):
+        from nbmle.model import BLOCK_ROWS
+        from nbmle.special import LARGE_COUNT_SWITCH
+
+        n = 3 * BLOCK_ROWS + 5
+        rng = np.random.default_rng([41, n, int(large_count)])
+        X = np.hstack([np.ones((n, 1)), rng.standard_normal((n, 3))])
+        lam = link_mean(X, np.array([0.4, 0.3, -0.2, 0.25])).lam
+        y = rng.negative_binomial(1.0 / 0.7, 1.0 / (1.0 + 0.7 * lam))
+        if large_count:
+            y[n - 3] = LARGE_COUNT_SWITCH + 17
+        # Away from the maximum, so that no score element is near zero.
+        return Dataset(y=y, X=X), Params(np.array([0.1, 0.5, 0.1, 0.0]), 1.3)
+
+    @staticmethod
+    def _full_array_blocks(ds, p):
+        """The blocks by the full-array formulas of the unblocked kernel."""
+        from nbmle.special import _finite_sums
+
+        theta, u, y, X = p.theta, 1.0 / p.theta, ds.y, ds.X
+        eta = X @ p.beta
+        lam = np.exp(eta)
+        t = theta * lam
+        one = 1.0 + t
+        resid = y - lam
+        log1p_t = np.log1p(t)
+        ll = np.sum(_finite_sums(y, u, "log") - _finite_sums(y, 1.0, "log")
+                    + y * eta + y * math.log(theta) - (u + y) * log1p_t)
+        score_theta = np.sum(u * u * (-_finite_sums(y, u, "recip") + log1p_t)
+                             + resid / (theta * one))
+        bracket = ((theta * (1.0 + 2.0 * t) * resid - t * one) / one ** 2
+                   + 2.0 * log1p_t)
+        h_tt = np.sum(u ** 3 * _finite_sums(y, u, "weights") - u ** 3 * bracket)
+        return {
+            "loglik": ll,
+            "score_beta": X.T @ (resid / one),
+            "score_theta": score_theta,
+            "h_bb": -(X.T * (lam * (1.0 + theta * y) / one ** 2)) @ X,
+            "h_bt": -(X.T @ (lam * resid / one ** 2)),
+            "h_tt": h_tt,
+        }
+
+    @pytest.mark.parametrize("large_count", [False, True])
+    def test_loglik_bit_for_bit(self, large_count):
+        ds, p = self._instance(large_count)
+        assert grad_hess(ds, p).loglik == loglik(ds, p)
+
+    @pytest.mark.parametrize("large_count", [False, True])
+    def test_blocks_match_the_full_array_formulas(self, large_count):
+        ds, p = self._instance(large_count)
+        gh = grad_hess(ds, p)
+        for name, want in self._full_array_blocks(ds, p).items():
+            np.testing.assert_allclose(getattr(gh, name), want, rtol=1e-12,
+                                       atol=0, err_msg=name)
+
+    def test_overflow_in_the_last_block_names_its_row(self):
+        ds, p = self._instance(False)
+        X = ds.X.copy()
+        row = ds.n - 2
+        X[row, 1] = 2000.0
+        with pytest.raises(LinearPredictorOverflow) as err:
+            grad_hess(Dataset(y=ds.y, X=X), p)
+        assert err.value.row == row
+
+    @pytest.mark.parametrize("theta, beta0, words", [
+        (1e200, 0.0, "1/theta^2 underflows to zero"),
+        (1.0, 690.0, "(theta*lam)^2 overflows"),
+        (1e153, 1.0, "theta*(1 + 2*theta*lam)*(y - lam) overflows"),
+    ])
+    def test_range_check_comes_before_any_warning(self, theta, beta0, words):
+        ds = Dataset(y=np.array([1000, 1]), X=np.ones((2, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=re.escape(words)):
+                grad_hess(ds, Params(np.array([beta0]), theta))

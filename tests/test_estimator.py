@@ -23,6 +23,7 @@ from nbmle import (
 )
 from conftest import simulate_dataset
 from nbmle.mixture import sample_counts
+from nbmle.model import BLOCK_ROWS
 
 RECOVERY = dict(seed=42, n=5000, beta=(0.5, -0.3), theta=0.8)
 
@@ -92,7 +93,27 @@ class TestInitParams:
         col = col + noise * np.linalg.norm(col) * u / np.linalg.norm(u)
         X = np.column_stack([X, col])
         assert self._lstsq_flags(X) == flagged
-        assert _collinear_columns(X) == flagged
+        assert _collinear_columns(np.linalg.qr(X, mode="r")) == flagged
+
+    @pytest.mark.parametrize("n", [7, 3 * BLOCK_ROWS + 5])
+    def test_start_beta_matches_least_squares(self, n):
+        ds = simulate_dataset(53, n, [0.4, 0.3, -0.2, 0.25], 0.7)
+        want, *_ = np.linalg.lstsq(ds.X, np.log(ds.y + 0.5), rcond=None)
+        np.testing.assert_allclose(init_params(ds).beta, want, rtol=1e-10, atol=0)
+
+    def test_start_values_copy_no_design(self):
+        """The blocked QR keeps init_params' traced allocations below one
+        copy of X."""
+        import tracemalloc
+
+        ds = simulate_dataset(59, 200_000, [0.4, 0.3, -0.2, 0.25], 0.7)
+        tracemalloc.start()
+        try:
+            init_params(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.X.nbytes
 
     def test_collinear_design_named(self):
         x = np.linspace(0.0, 1.0, 12)
@@ -101,6 +122,16 @@ class TestInitParams:
         with pytest.raises(CollinearColumnsError) as err:
             init_params(ds)
         assert "dose_x2" in str(err.value)
+
+    def test_collinear_design_named_across_row_blocks(self):
+        n = 3 * BLOCK_ROWS + 5
+        rng = np.random.default_rng(61)
+        x = rng.standard_normal((n, 2))
+        X = np.column_stack([np.ones(n), x, x[:, 0] - 3.0 * x[:, 1]])
+        ds = Dataset(y=rng.integers(0, 9, n), X=X, names=("intercept", "a", "b", "a_minus_3b"))
+        with pytest.raises(CollinearColumnsError) as err:
+            init_params(ds)
+        assert err.value.columns == ("a_minus_3b",)
 
 
 class TestFitRecovery:

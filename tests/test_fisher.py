@@ -239,7 +239,8 @@ class TestBatchedSeries:
         w = (2.0 * y + u) / (y + u) ** 2
         surv = np.cumsum(pmf[::-1])[::-1]
         cum_w = np.concatenate(([0.0], np.cumsum(w[:-1])))
-        neg_h = u3 * _theta_bracket(y, lam, theta) - u3 * cum_w
+        t = theta * lam
+        neg_h = u3 * _theta_bracket(y - lam, t, np.log1p(t), theta) - u3 * cum_w
         return w @ surv, w[:-1] @ surv[1:], pmf @ neg_h, np.sum(pmf)
 
     @pytest.mark.parametrize("theta", [1e-6, 0.05, 0.8, 5.0])
