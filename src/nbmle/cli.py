@@ -22,6 +22,7 @@ import os
 import sys
 import warnings
 from array import array
+from itertools import islice
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .exceptions import (
 )
 from .fisher import InfoKind, expected_info, observed_info
 from .mixture import sample_counts
-from .model import DEFAULT_EPS_TAIL, Dataset, Params, link_mean
+from .model import DEFAULT_EPS_TAIL, Dataset, Params, _row_blocks, link_mean
 from .verification import SCHEMA_VERSION, run_verification
 
 
@@ -56,8 +57,10 @@ def _fmt(x: float) -> str:
 # Counts above 2**53 are not all representable in a float64 cell.
 MAX_RESPONSE = 2 ** 53
 
-# Rows per block of simulate output; the writer's memory stays flat in n.
-_WRITE_ROWS = 1 << 16
+# Rows per block of simulate output, and lines per block of a CSV body
+# that numpy parses: the text held at a time stays small and flat in n.
+_WRITE_ROWS = 1 << 14
+_READ_LINES = 1 << 12
 
 # ASCII control characters that numpy strips from a cell as whitespace and
 # float() does not; a file holding one is left to the row parser.
@@ -71,23 +74,14 @@ def ingest_csv(path: str, response_column: str = "y",
     The response column must hold non-negative integers up to MAX_RESPONSE;
     every other column becomes a regressor.  An all-ones intercept column
     is prepended unless no_intercept is set.  Errors carry row/column
-    diagnostics.
+    diagnostics.  The readers write each parsed row straight into y and X.
     """
+    lead = 0 if no_intercept else 1
     try:
-        header, body = (_read_numeric(path, response_column)
-                        or _read_rows(path, response_column))
+        names, y, X = (_read_numeric(path, response_column, lead)
+                       or _read_rows(path, response_column, lead))
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    y_col = header.index(response_column)
-    x_cols = [j for j in range(len(header)) if j != y_col]
-    y = body[:, y_col].astype(np.int64)
-    lead = 0 if no_intercept else 1
-    names = ["intercept"] * lead + [header[j] for j in x_cols]
-    # Filled column by column, so no second (n, p) temporary is built.
-    X = np.empty((len(y), len(names)))
-    X[:, :lead] = 1.0
-    for k, j in enumerate(x_cols, start=lead):
-        X[:, k] = body[:, j]
     if X.shape[1] == 0:
         raise CliInputError(
             f"{path}: no regressor columns and intercept disabled"
@@ -101,18 +95,46 @@ def ingest_csv(path: str, response_column: str = "y",
     return ds
 
 
-def _read_numeric(path: str, response_column: str):
-    """(header, body) parsed by numpy's loadtxt, or None.
+def _design(header: list, response_column: str, lead: int, rows: int):
+    """(design column names, y, X) for up to rows rows, y and X empty: lead
+    intercept columns, then every column but the response, in file order."""
+    y_col = header.index(response_column)
+    names = ["intercept"] * lead + header[:y_col] + header[y_col + 1:]
+    return names, np.empty(rows, np.int64), np.empty((rows, len(names)))
+
+
+def _put(body: np.ndarray, start: int, y_col: int, lead: int,
+         y: np.ndarray, X: np.ndarray) -> int:
+    """Write the parsed rows of body into y and X from row start on; the
+    row after the last one written."""
+    stop = start + len(body)
+    y[start:stop] = body[:, y_col]
+    X[start:stop, :lead] = 1.0
+    X[start:stop, lead:lead + y_col] = body[:, :y_col]
+    X[start:stop, lead + y_col:] = body[:, y_col + 1:]
+    return stop
+
+
+def _read_numeric(path: str, response_column: str, lead: int):
+    """(names, y, X) as _design lays them out, parsed by numpy's loadtxt,
+    or None.
 
     None leaves the file to _read_rows, which alone words the errors and
     alone reads what float() accepts and loadtxt refuses (digit
     underscores).  Quoted cells are read here, as csv reads them.  A table
-    is returned only when _read_rows would return the same one.
+    is returned only when _read_rows would return the same one.  y and X
+    are sized by the line count, and the body is parsed into them
+    _READ_LINES lines at a time, or whole if a quoted cell may span lines.
     """
+    lines, quoted = 1, False
     with open(path, "rb") as raw:
         for block in iter(lambda: raw.read(1 << 20), b""):
             if any(c in block for c in _NUMPY_ONLY_SPACE):
                 return None
+            lines += np.count_nonzero(np.frombuffer(block, np.uint8) == 10)
+            if b"\r" in block:  # a lone \r ends a line too, as csv reads it
+                lines += block.count(b"\r") - block.count(b"\r\n")
+            quoted = quoted or b'"' in block
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = next((row for row in csv.reader(fh) if row), None)
         if header is None:
@@ -120,25 +142,36 @@ def _read_numeric(path: str, response_column: str):
         header = [h.strip() for h in header]
         if response_column not in header:
             return None
-        try:
-            with warnings.catch_warnings():
-                # A header-only file warns "input contained no data".
-                warnings.simplefilter("error")
-                body = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"',
-                                  comments=None, dtype=float)
+        names, y, X = _design(header, response_column, lead, lines)
+        y_col, n = header.index(response_column), 0
+        blocks = ([fh] if quoted
+                  else iter(lambda: list(islice(fh, _READ_LINES)), []))
+        try:  # a line that is not UTF-8 raises here too
+            for block in blocks:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    # Any warning refuses the file, but a block of blank
+                    # lines warns only that it holds no data.
+                    warnings.filterwarnings("ignore", ".*input contained no data")
+                    body = np.loadtxt(block, delimiter=",", ndmin=2,
+                                      quotechar='"', comments=None, dtype=float)
+                if not len(body):
+                    continue
+                if body.shape[1] != len(header):
+                    return None
+                resp = body[:, y_col]
+                if not np.all((resp >= 0) & (resp <= MAX_RESPONSE)
+                              & (resp == np.floor(resp))):
+                    return None
+                n = _put(body, n, y_col, lead, y, X)
         except (ValueError, UserWarning):
             return None
-    if body.shape[0] == 0 or body.shape[1] != len(header):
-        return None
-    resp = body[:, header.index(response_column)]
-    if not np.all((resp >= 0) & (resp <= MAX_RESPONSE)
-                  & (resp == np.floor(resp))):
-        return None
-    return header, body
+    return (names, y[:n], X[:n]) if n else None
 
 
-def _read_rows(path: str, response_column: str):
-    """(header, body) parsed cell by cell with csv and float().
+def _read_rows(path: str, response_column: str, lead: int):
+    """(names, y, X) as _design lays them out, parsed cell by cell with csv
+    and float().
 
     Raises CliInputError naming the row and column of the first bad cell.
     """
@@ -178,7 +211,10 @@ def _read_rows(path: str, response_column: str):
             values.extend(parsed)
     if not values:
         raise CliInputError(f"{path}: no data rows")
-    return header, np.frombuffer(values).reshape(-1, len(header))
+    body = np.frombuffer(values).reshape(-1, len(header))
+    names, y, X = _design(header, response_column, lead, len(body))
+    _put(body, 0, y_col, lead, y, X)
+    return names, y, X
 
 
 @contextlib.contextmanager
@@ -314,9 +350,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     p = len(beta)
     rng = np.random.default_rng(args.seed)
     Z = rng.standard_normal((args.n, p - 1))
-    X = np.hstack([np.ones((args.n, 1)), Z])
-    y = sample_counts(link_mean(X, beta).lam, args.theta, rng)
-    del X  # freed before any worker is forked
+    lam = np.empty(args.n)  # block by block: no n x p design is built
+    for s in _row_blocks(args.n):
+        X_b = np.hstack([np.ones((len(Z[s]), 1)), Z[s]])
+        lam[s] = link_mean(X_b, beta, s.start).lam
+    y = sample_counts(lam, args.theta, rng)
+    del lam  # freed before any worker is forked
     header = [args.response] + [f"x{j}" for j in range(1, p)]
     blocks = [(y[s:s + _WRITE_ROWS], Z[s:s + _WRITE_ROWS])
               for s in range(0, args.n, _WRITE_ROWS)]

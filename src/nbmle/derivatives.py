@@ -24,7 +24,8 @@ gamma-free derivatives are
 
 grad_hess also returns the log-likelihood at the point (GradHess.loglik),
 by model.loglik's expression over the link and ln(1+t_i) it already holds.
-It reduces every sum over i one block of model.BLOCK_ROWS rows at a time.
+It reduces every sum over i one block of model.BLOCK_ROWS rows at a time,
+and evaluates the link one block at a time too.
 
 All functions are pure; per-observation reductions use numpy's pairwise
 summation within a block and add the blocks in order.
@@ -39,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DomainError
-from .model import BLOCK_ROWS, Dataset, Params, _loglik_sum, _row_blocks, link_mean
+from .model import Dataset, Params, _block_links, _loglik_sum, _row_blocks, link_mean
 from .special import _finite_sum_tables, _gamma_diff, digamma, trigamma
 
 
@@ -67,19 +68,20 @@ def _theta_bracket(resid, t, log1p_t, theta: float):
     return (theta * (1.0 + 2.0 * t) * resid - t * one) / one**2 + 2.0 * log1p_t
 
 
-def _require_finite_range(theta: float, lam: np.ndarray, y: np.ndarray) -> None:
+def _require_finite_range(theta: float, lam_max: float, y: np.ndarray) -> None:
     """DomainError naming theta where the blocks cannot be finite doubles:
-    1/theta^2 underflows to zero, or (theta * max lam)^2 or the bracket's
+    1/theta^2 underflows to zero, (theta * lam_max)^2 or the bracket's
     theta (1 + 2 theta lam)(y - lam), with |y - lam| <= max(y, lam),
-    overflows."""
-    lam_max = float(lam.max())
-    t_max = theta * lam_max
-    if (1.0 / theta) * (1.0 / theta) == 0.0:
+    overflows, or 1/theta^3 overflows."""
+    u, t_max = 1.0 / theta, theta * lam_max
+    if u * u == 0.0:
         why = "1/theta^2 underflows to zero"
     elif t_max * t_max == math.inf:
         why = f"(theta*lam)^2 overflows at the largest mean, {lam_max!r}"
     elif theta * (1.0 + 2.0 * t_max) * max(lam_max, float(y.max())) == math.inf:
         why = "theta*(1 + 2*theta*lam)*(y - lam) overflows"
+    elif u * u * u == math.inf:
+        why = "1/theta^3 overflows"
     else:
         return
     raise DomainError(f"theta={theta!r} is out of range: {why}")
@@ -88,9 +90,10 @@ def _require_finite_range(theta: float, lam: np.ndarray, y: np.ndarray) -> None:
 def grad_hess(ds: Dataset, p: Params) -> GradHess:
     """Evaluate the log-likelihood and every derivative block in one pass.
 
-    The link and the finite-sum tables are built once for all rows; every
-    other quantity is formed, and reduced, one block of model._row_blocks
-    at a time, with r = 1/(1+t) and a = (y - lam) r shared by all six.
+    The finite-sum tables are built once for all rows; the link, from
+    model._block_links, and every other quantity are formed, and reduced,
+    one block of model._row_blocks at a time, with r = 1/(1+t) and
+    a = (y - lam) r shared by all six.
     The score and the Hessian's beta rows come from one product per block,
     X_b' [a, lam a r, w X_b], with w the h_bb weight lam (1 + theta y) r^2.
     The log-likelihood is model.loglik's, block for block.
@@ -98,38 +101,41 @@ def grad_hess(ds: Dataset, p: Params) -> GradHess:
     theta = p.theta
     u = 1.0 / theta
     y, X = ds.y, ds.X
-    link = link_mean(X, p.beta)
-    lam, eta = link.lam, link.eta
+    lam_max, link_of = _block_links(X, p.beta)
     # Past LARGE_COUNT_SWITCH the tables call trigamma(1/theta), whose own
     # DomainError comes before the range check.
     (log_u, log_1, weights, recip), keys = _finite_sum_tables(
         y, ((u, "log"), (1.0, "log"), (u, "weights"), (u, "recip")),
-        check=lambda: _require_finite_range(theta, lam, y))
+        check=lambda: _require_finite_range(theta, lam_max, y))
     log_sums = log_u - log_1
     u2, u3 = u * u, u * u * u
     n, k = X.shape
     ll = score_theta = h_tt = 0.0
     cross = np.zeros((k, k + 2))
-    # Row-major per block: rows a, lam a r, then w times each column of X.
-    buf = np.empty((k + 2, min(n, BLOCK_ROWS)))
+    # Arrays are deleted once spent: one block's scratch is all that is held.
     for s in _row_blocks(n):
-        key, lam_b, X_b = keys[s], lam[s], X[s]
-        y_b = y[s].astype(float)
+        key, link, X_b = keys[s], link_of(s), X[s]
+        lam_b, y_b = link.lam, y[s].astype(float)
         t = theta * lam_b
         log1p_t = np.log1p(t)
-        ll += _loglik_sum(y_b, eta[s], theta, log1p_t, log_sums[key])
+        ll += _loglik_sum(y_b, link.eta, theta, log1p_t, log_sums[key])
         r = 1.0 / (1.0 + t)
         resid = y_b - lam_b
-        m = buf[:, :len(resid)]
-        a = np.multiply(resid, r, out=m[0])
-        score_theta += float(np.sum(u2 * (log1p_t - recip[key]) + u * a))
+        del link
         h_tt += float(np.sum(u3 * weights[key]
                              - u3 * _theta_bracket(resid, t, log1p_t, theta)))
-        np.multiply(lam_b * a, r, out=m[1])
+        a = resid * r
+        score_theta += float(np.sum(u2 * (log1p_t - recip[key]) + u * a))
         w = lam_b * (1.0 + theta * y_b) * r * r
+        del y_b, t, log1p_t, resid
+        # Row-major: rows a, lam a r, then w times each column of X_b.
+        m = np.empty((k + 2, len(a)))
+        m[0] = a
+        np.multiply(lam_b * a, r, out=m[1])
         for j in range(k):
             np.multiply(X_b[:, j], w, out=m[2 + j])
         cross += X_b.T @ m.T
+        del lam_b, r, a, w, m
     h_bb = -cross[:, 2:]
     return GradHess(
         loglik=ll,

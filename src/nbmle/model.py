@@ -85,7 +85,7 @@ class Dataset:
             raise DomainError("X must be two-dimensional")
         if not np.all(np.isfinite(y)):
             raise DomainError("y contains non-finite entries")
-        if np.any(y < 0) or np.any(y != np.floor(y)):
+        if np.any(y < 0) or (y.dtype.kind == "f" and np.any(y != np.floor(y))):
             raise DomainError("y must contain non-negative integers")
         if not np.all(np.isfinite(X)):
             raise DomainError("X contains non-finite entries")
@@ -103,7 +103,7 @@ class Dataset:
         names = tuple(self.names) if self.names else tuple(f"x{j}" for j in range(p))
         if len(names) != p:
             raise DomainError(f"got {len(names)} names for {p} columns")
-        object.__setattr__(self, "y", y.astype(np.int64))
+        object.__setattr__(self, "y", y.astype(np.int64, copy=False))
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "names", names)
 
@@ -149,11 +149,11 @@ class LinkValues:
     eta: np.ndarray
 
 
-def link_mean(X: np.ndarray, beta: np.ndarray) -> LinkValues:
+def link_mean(X: np.ndarray, beta: np.ndarray, start: int = 0) -> LinkValues:
     """Evaluate the exponential link lambda_i = exp(x_i' beta).
 
-    Raises LinearPredictorOverflow naming the first offending row when any
-    |x_i' beta| exceeds MAX_LINEAR_PREDICTOR or is non-finite.
+    Raises LinearPredictorOverflow naming the first offending row, plus
+    start, when any |x_i' beta| exceeds MAX_LINEAR_PREDICTOR or is non-finite.
     """
     X = np.asarray(X, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -161,7 +161,7 @@ def link_mean(X: np.ndarray, beta: np.ndarray) -> LinkValues:
     # NaN fails both comparisons; the offending row is located only then.
     if not (eta.max() <= MAX_LINEAR_PREDICTOR and eta.min() >= -MAX_LINEAR_PREDICTOR):
         row = int(np.argmax(~(np.abs(eta) <= MAX_LINEAR_PREDICTOR)))
-        raise LinearPredictorOverflow(row, float(eta[row]))
+        raise LinearPredictorOverflow(start + row, float(eta[row]))
     return LinkValues(np.exp(eta), eta)
 
 
@@ -207,6 +207,21 @@ def _row_blocks(n: int) -> list:
     return [slice(s, s + BLOCK_ROWS) for s in range(0, n, BLOCK_ROWS)]
 
 
+def _block_links(X: np.ndarray, beta: np.ndarray):
+    """(the largest mean, the link of a block of _row_blocks by its slice).
+
+    Every block's link is evaluated here first, so an overflow is raised
+    before the caller evaluates anything.  One block keeps its link; more
+    are evaluated again when asked for, so no n-length array is held."""
+    lam_max = 0.0
+    for s in _row_blocks(len(X)):
+        link = link_mean(X[s], beta, s.start)
+        lam_max = max(lam_max, float(link.lam.max()))
+    if len(X) <= BLOCK_ROWS:
+        return lam_max, lambda s: link
+    return lam_max, lambda s: link_mean(X[s], beta)
+
+
 def _loglik_sum(y: np.ndarray, eta: np.ndarray, theta: float,
                 log1p_t: np.ndarray, log_sums: np.ndarray) -> float:
     """The log-likelihood of one block of rows, from the counts as floats,
@@ -221,14 +236,15 @@ def loglik(ds: Dataset, p: Params) -> float:
 
     Summed block by block over _row_blocks, in order."""
     theta = p.theta
-    link = link_mean(ds.X, p.beta)
+    _, link_of = _block_links(ds.X, p.beta)
     (log_u, log_1), keys = _finite_sum_tables(ds.y, ((1.0 / theta, "log"),
                                                       (1.0, "log")))
     log_sums = log_u - log_1
     ll = 0.0
     for s in _row_blocks(ds.n):
-        ll += _loglik_sum(ds.y[s].astype(float), link.eta[s], theta,
-                          np.log1p(theta * link.lam[s]), log_sums[keys[s]])
+        link = link_of(s)
+        ll += _loglik_sum(ds.y[s].astype(float), link.eta, theta,
+                          np.log1p(theta * link.lam), log_sums[keys[s]])
     return ll
 
 

@@ -86,20 +86,34 @@ class TestIngestFastPath:
     """numpy's reader returns what the row parser returns, or defers to it."""
 
     def check(self, path, monkeypatch, response="y", **kwargs):
-        """ingest_csv through numpy's reader and through the row parser
-        alone give bit-identical Datasets."""
-        assert cli._read_numeric(str(path), response) is not None
+        """ingest_csv through numpy's reader, in blocks of the current size
+        and of two lines, and through the row parser alone give
+        bit-identical Datasets."""
+        assert cli._read_numeric(str(path), response, 1) is not None
         fast = ingest_csv(str(path), response, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_READ_LINES", 2)
+            assert cli._read_numeric(str(path), response, 1) is not None
+            small = ingest_csv(str(path), response, **kwargs)
         with monkeypatch.context() as m:
             m.setattr(cli, "_read_numeric", lambda *args: None)
             rows = ingest_csv(str(path), response, **kwargs)
-        assert fast.names == rows.names
-        assert fast.y.dtype == rows.y.dtype == np.int64
-        assert fast.X.dtype == rows.X.dtype == np.float64
-        assert fast.y.shape == rows.y.shape and fast.X.shape == rows.X.shape
-        assert fast.y.tobytes() == rows.y.tobytes()
-        assert fast.X.tobytes() == rows.X.tobytes()
+        for ds in (fast, small):
+            assert ds.names == rows.names
+            assert ds.y.dtype == rows.y.dtype == np.int64
+            assert ds.X.dtype == rows.X.dtype == np.float64
+            assert ds.y.shape == rows.y.shape and ds.X.shape == rows.X.shape
+            assert ds.y.tobytes() == rows.y.tobytes()
+            assert ds.X.tobytes() == rows.X.tobytes()
         return fast
+
+    @staticmethod
+    def same_tables(fast, ref):
+        """Two readers' (names, y, X) are equal, bit for bit."""
+        assert fast[0] == ref[0]
+        for a, b in zip(fast[1:], ref[1:]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
     def test_simulate_output(self, tmp_path, monkeypatch):
         path = simulate_to(tmp_path, beta="0.5,-0.3,0.2", n=3000, seed=8)
@@ -143,7 +157,7 @@ class TestIngestFastPath:
     def test_underscored_cells_use_the_row_parser(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("y,x1\n1_0,0.5\n2,-1_000.0\n1,0.25\n")
-        assert cli._read_numeric(str(path), "y") is None
+        assert cli._read_numeric(str(path), "y", 1) is None
         ds = ingest_csv(str(path))
         assert ds.n == 3
         assert ds.y[1] == 2
@@ -151,11 +165,8 @@ class TestIngestFastPath:
     def test_quoted_cells_read_by_numpy_as_by_the_row_parser(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text('y,x1\n"0",0.5\n2,"-1.0"\n1,0.25\n')
-        header, body = cli._read_numeric(str(path), "y")
-        ref_header, ref_body = cli._read_rows(str(path), "y")
-        assert header == ref_header
-        assert body.shape == ref_body.shape
-        assert body.tobytes() == ref_body.tobytes()
+        self.same_tables(cli._read_numeric(str(path), "y", 1),
+                         cli._read_rows(str(path), "y", 1))
         ds = ingest_csv(str(path))
         assert ds.n == 3
         assert ds.y[1] == 2
@@ -172,16 +183,14 @@ class TestIngestFastPath:
         path = tmp_path / "d.csv"
         row = f"{cell},0.5" if column == "y" else f"2,{cell}"
         path.write_text(f"y,x1\n{row}\n1,0.25\n")
-        fast = cli._read_numeric(str(path), "y")
+        fast = cli._read_numeric(str(path), "y", 1)
         try:
-            ref = cli._read_rows(str(path), "y")
+            ref = cli._read_rows(str(path), "y", 1)
         except CliInputError:
             assert fast is None
             return
         if fast is not None:
-            assert fast[0] == ref[0]
-            assert fast[1].shape == ref[1].shape
-            assert fast[1].tobytes() == ref[1].tobytes()
+            self.same_tables(fast, ref)
 
     def test_comment_text_in_a_cell_is_non_numeric(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -194,7 +203,7 @@ class TestIngestFastPath:
     def test_cell_numpy_strips_but_float_refuses(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("y,x1\n0,0.5\n1,\x1c2\n")
-        assert cli._read_numeric(str(path), "y") is None
+        assert cli._read_numeric(str(path), "y", 1) is None
         with pytest.raises(CliInputError) as err:
             ingest_csv(str(path))
         assert "non-numeric cell at row 3, column 'x1'" in str(err.value)
@@ -215,6 +224,62 @@ class TestIngestFastPath:
                 ingest_csv(str(path))
         assert caught == []
         assert "no data rows" in str(err.value)
+
+
+    @pytest.mark.parametrize("lines", [1, 3, 5])
+    def test_blocks_crlf_bom_blank_lines(self, tmp_path, monkeypatch, lines):
+        """Blank lines before the header, between rows and at the end fall
+        on both sides of the block boundaries."""
+        rows = [f" {k % 7} , {k / 8}\t" for k in range(40)]
+        body = "".join(r + "\r\n" * (1 + k % 3) for k, r in enumerate(rows))
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbf\r\n\r\n"
+                         + ("y , x1\r\n" + body + "\r\n\r\n").encode())
+        monkeypatch.setattr(cli, "_READ_LINES", lines)
+        ds = self.check(path, monkeypatch)
+        np.testing.assert_array_equal(ds.y, [k % 7 for k in range(40)])
+        np.testing.assert_array_equal(ds.X[:, 1], [k / 8 for k in range(40)])
+
+    @pytest.mark.parametrize("bad, words", [
+        ("3,oops", "non-numeric cell at row 27, column 'x1': 'oops'"),
+        ("2.5,0.5", "response must be a non-negative integer; got '2.5' at "
+                    "row 27, column 'y'"),
+        ("3,0.5,1", "row 27 has 3 cells, expected 2"),
+    ])
+    def test_bad_row_in_a_late_block_named_by_the_row_parser(
+            self, tmp_path, monkeypatch, bad, words):
+        lines = ["y,x1"] + [f"{k % 5},{k / 4}" for k in range(30)]
+        lines[26] = bad
+        path = tmp_path / "d.csv"
+        # Blank lines ahead of the bad row: rows, not lines, are counted.
+        path.write_text("\n\n".join(lines[:9]) + "\n" + "\n".join(lines[9:]))
+        monkeypatch.setattr(cli, "_READ_LINES", 4)
+        assert cli._read_numeric(str(path), "y", 1) is None
+        with pytest.raises(CliInputError) as err:
+            ingest_csv(str(path))
+        assert str(err.value) == f"{path}: {words}"
+
+    def test_block_of_short_rows_named_by_the_row_parser(self, tmp_path,
+                                                         monkeypatch):
+        # The response is the last column, and a whole block lacks it.
+        lines = ["x1,y"] + [f"{k / 4},{k % 5}" for k in range(30)]
+        lines[25:29] = ["0.5"] * 4
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(cli, "_READ_LINES", 4)
+        assert cli._read_numeric(str(path), "y", 1) is None
+        with pytest.raises(CliInputError) as err:
+            ingest_csv(str(path))
+        assert str(err.value) == f"{path}: row 26 has 1 cells, expected 2"
+
+    def test_quoted_file_read_as_one_block(self, tmp_path, monkeypatch):
+        lines = ["y,x1"] + [f'"{k % 4}",{k / 8}' if k % 3 else f'{k % 4},"{k / 8}"'
+                            for k in range(30)]
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(cli, "_READ_LINES", 2)
+        ds = self.check(path, monkeypatch)
+        np.testing.assert_array_equal(ds.y, [k % 4 for k in range(30)])
 
 
 class TestResponseBounds:
@@ -263,15 +328,16 @@ class TestSimulate:
         assert lines[0] == "y,x1,x2" and lines[-1] == ""
         assert len(lines) == cli._WRITE_ROWS + 9
 
-    # Three full write blocks and five rows more; the digest was recorded
-    # before the blocks were formatted in worker processes.
+    # Twelve full write blocks and five rows more; the digest was recorded
+    # before the blocks were formatted in worker processes, when they were
+    # three blocks of 65,536 rows and five rows more.
     MULTI_BLOCK = ["simulate", "--beta", "0.0,0.3,-0.2,0.25", "--theta", 0.5,
                    "--n", 196_613, "--seed", 401]
     MULTI_BLOCK_SHA256 = (
         "0541f8a73cf8eb610c9b7ab969d4c36c17414b9249725eb8fad9690a857bacb9")
 
     def test_multi_block_bytes_pinned(self, tmp_path, capsys, monkeypatch):
-        assert 196_613 == 3 * cli._WRITE_ROWS + 5
+        assert 196_613 == 12 * cli._WRITE_ROWS + 5
         path = tmp_path / "m.csv"
         assert run(self.MULTI_BLOCK + ["--output", path]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() \
@@ -292,6 +358,22 @@ class TestSimulate:
     def test_one_block_starts_no_pool(self, tmp_path, monkeypatch):
         monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
         simulate_to(tmp_path, n=2000, seed=42)
+
+    def test_overflow_names_its_row_of_the_whole_draw(self, capsys):
+        """The means are formed block by block; an overflow in a late block
+        names its row of the whole draw, as x'beta over all rows did."""
+        from nbmle.model import BLOCK_ROWS
+
+        n, seed, slope = 200_000, 4, 166.0
+        z = np.random.default_rng(seed).standard_normal((n, 1))[:, 0]
+        row = int(np.argmax(np.abs(slope * z) > 700.0))
+        assert 2 * BLOCK_ROWS < row < n - BLOCK_ROWS
+        capsys.readouterr()
+        assert run(["simulate", "--beta", f"0,{slope}", "--theta", 1.0,
+                    "--n", n, "--seed", seed]) == 1
+        assert capsys.readouterr().err == (
+            f"error: linear predictor overflows exp() at row {row}: "
+            f"x'beta = {float(slope * z[row])!r} (|x'beta| must stay <= 700)\n")
 
     def test_workers_bounded_by_blocks_and_joined(self, tmp_path, monkeypatch):
         real = multiprocessing.get_context
@@ -521,7 +603,14 @@ class TestInfo:
             "error: trigamma(1e-200) overflows: 1/x^2 is not a finite double")
 
 
-    def test_theta_past_the_block_range_is_input_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("theta, why", [
+        ("1e200", "theta=1e+200 is out of range: 1/theta^2 underflows to zero"),
+        # 1/theta^3 overflows, and the finite-sum summands would square
+        # 1/theta past the double range.
+        ("1e-160", "theta=1e-160 is out of range: 1/theta^3 overflows"),
+    ])
+    def test_theta_past_the_block_range_is_input_error(self, tmp_path, capsys,
+                                                        theta, why):
         # Small counts: the finite sums come from the cumulative tables, and
         # the range check refuses theta before any array expression runs.
         path = tmp_path / "small.csv"
@@ -529,11 +618,9 @@ class TestInfo:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = run(["info", "--input", path, "--beta", "1,0.3",
-                        "--theta", "1e200", "--info", "observed"])
+                        "--theta", theta, "--info", "observed"])
         assert code == 1
-        assert capsys.readouterr().err.splitlines()[-1] == (
-            "error: theta=1e+200 is out of range: 1/theta^2 underflows to zero")
-
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {why}"
 
 class TestContract:
     """Usage errors, defaults and formats that the argument layer owns."""
@@ -609,6 +696,47 @@ class TestContract:
         assert "observed information matrix:" in text
         assert "expected information matrix:" in text
 
+
+class TestMemory:
+    """At n = 200,000, p = 4, ingest and simulate's draw hold their n-row
+    data and block scratch, measured by tracemalloc's peak."""
+
+    BIG = dict(beta="0.0,0.3,-0.2,0.25", theta=0.5, n=200_000, seed=1)
+
+    def test_ingest_holds_y_x_and_block_scratch(self, tmp_path):
+        import tracemalloc
+
+        path = simulate_to(tmp_path, **self.BIG)
+        tracemalloc.start()
+        try:
+            ds = ingest_csv(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.X.shape == (200_000, 4)
+        assert peak < ds.X.nbytes + ds.y.nbytes + 2e6
+
+    def test_simulate_draw_holds_no_design(self, monkeypatch):
+        import tracemalloc
+
+        class Drawn(Exception):
+            pass
+
+        def traced(lam, theta, rng):
+            raise Drawn(tracemalloc.get_traced_memory()[1])
+
+        monkeypatch.setattr(cli, "sample_counts", traced)
+        n, p = self.BIG["n"], 4
+        tracemalloc.start()
+        try:
+            with pytest.raises(Drawn) as drawn:
+                run(["simulate", "--beta", self.BIG["beta"], "--theta", 0.5,
+                     "--n", n, "--seed", 1])
+        finally:
+            tracemalloc.stop()
+        # The regressors and the means, and less than one more n-vector:
+        # an n x p design would take p of them.
+        assert drawn.value.args[0] < 8 * n * ((p - 1) + 2)
 
 class TestDeterminism:
     def test_verify_payload_deterministic(self):

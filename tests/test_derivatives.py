@@ -345,9 +345,9 @@ class TestSharedLink:
 
         calls = []
 
-        def counting(X, beta):
+        def counting(*args):
             calls.append(1)
-            return link_mean(X, beta)
+            return link_mean(*args)
 
         monkeypatch.setattr(nbmle.derivatives, "link_mean", counting)
         monkeypatch.setattr(nbmle.model, "link_mean", counting)
@@ -439,12 +439,15 @@ class TestBlockedKernel:
         X = ds.X.copy()
         row = ds.n - 2
         X[row, 1] = 2000.0
-        with pytest.raises(LinearPredictorOverflow) as err:
-            grad_hess(Dataset(y=ds.y, X=X), p)
-        assert err.value.row == row
+        for kernel in (grad_hess, loglik):
+            with pytest.raises(LinearPredictorOverflow) as err:
+                kernel(Dataset(y=ds.y, X=X), p)
+            assert err.value.row == row
 
     @pytest.mark.parametrize("theta, beta0, words", [
         (1e200, 0.0, "1/theta^2 underflows to zero"),
+        (1e-160, 0.0, "1/theta^3 overflows"),
+        (1e-110, 0.0, "1/theta^3 overflows"),
         (1.0, 690.0, "(theta*lam)^2 overflows"),
         (1e153, 1.0, "theta*(1 + 2*theta*lam)*(y - lam) overflows"),
     ])
@@ -454,3 +457,30 @@ class TestBlockedKernel:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match=re.escape(words)):
                 grad_hess(ds, Params(np.array([beta0]), theta))
+
+
+class TestBlockScratch:
+    """grad_hess and loglik hold block scratch only: their traced peak at
+    n = 200,000, p = 4 stays below one n-length float array."""
+
+    @staticmethod
+    def _instance():
+        n = 200_000
+        rng = np.random.default_rng(61)
+        X = np.hstack([np.ones((n, 1)), rng.standard_normal((n, 3))])
+        lam = link_mean(X, np.array([0.4, 0.3, -0.2, 0.25])).lam
+        y = rng.negative_binomial(1.0 / 0.7, 1.0 / (1.0 + 0.7 * lam))
+        return Dataset(y=y, X=X), Params(np.array([0.4, 0.3, -0.2, 0.25]), 0.7)
+
+    @pytest.mark.parametrize("kernel", [grad_hess, loglik])
+    def test_peak_below_one_column(self, kernel):
+        import tracemalloc
+
+        ds, p = self._instance()
+        tracemalloc.start()
+        try:
+            kernel(ds, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.n * 8

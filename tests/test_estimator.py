@@ -404,9 +404,9 @@ class TestOneEvaluationPerPoint:
 
         calls = {"link_mean": 0, "grad_hess": [], "loglik": 0}
 
-        def counting_link(X, beta):
+        def counting_link(*args):
             calls["link_mean"] += 1
-            return link_mean(X, beta)
+            return link_mean(*args)
 
         def recording_grad_hess(ds, p):
             gh = grad_hess(ds, p)

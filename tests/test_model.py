@@ -32,6 +32,15 @@ class TestDataset:
         with pytest.raises(DomainError):
             Dataset(y=np.array([1.5, 2.0]), X=np.ones((2, 1)))
 
+    def test_integer_counts_are_not_copied(self):
+        y = np.array([0, 3, 1], dtype=np.int64)
+        assert Dataset(y=y, X=np.ones((3, 1))).y is y
+
+    def test_float_counts_become_int64(self):
+        ds = Dataset(y=np.array([0.0, 3.0, 1.0]), X=np.ones((3, 1)))
+        assert ds.y.dtype == np.int64
+        np.testing.assert_array_equal(ds.y, [0, 3, 1])
+
     def test_rejects_more_columns_than_rows(self):
         with pytest.raises(DomainError):
             Dataset(y=np.array([1]), X=np.ones((1, 2)))
@@ -75,6 +84,27 @@ class TestLinkMean:
         with pytest.raises(LinearPredictorOverflow) as err:
             link_mean(X, np.array([1.0]))
         assert err.value.row == 1
+
+    def test_overflow_row_counted_from_start(self):
+        X = np.array([[1.0], [800.0]])
+        with pytest.raises(LinearPredictorOverflow) as err:
+            link_mean(X, np.array([1.0]), 40)
+        assert err.value.row == 41
+
+    def test_blocks_match_the_whole_design_bit_for_bit(self, rng):
+        """The per-block links of loglik and grad_hess are the link over all
+        rows, cut into blocks."""
+        from nbmle.model import BLOCK_ROWS, _block_links, _row_blocks
+
+        X = np.hstack([np.ones((3 * BLOCK_ROWS + 5, 1)),
+                       rng.standard_normal((3 * BLOCK_ROWS + 5, 3))])
+        beta = np.array([0.4, 0.3, -0.2, 0.25])
+        whole = link_mean(X, beta)
+        lam_max, link_of = _block_links(X, beta)
+        assert lam_max == whole.lam.max()
+        for s in _row_blocks(len(X)):
+            assert link_of(s).eta.tobytes() == whole.eta[s].tobytes()
+            assert link_of(s).lam.tobytes() == whole.lam[s].tobytes()
 
 
 class TestPmf:
