@@ -7,19 +7,7 @@ Fisher-information tail-sum conventions that relate the finite-sum and
 gamma-function formulations.
 """
 
-from .derivatives import (
-    GradHess,
-    finite_diff,
-    finite_diff_second,
-    grad_hess,
-    hessian_beta_beta,
-    hessian_beta_theta,
-    hessian_theta,
-    hessian_theta_gamma_form,
-    score_beta,
-    score_theta,
-    score_theta_gamma_form,
-)
+from .derivatives import GradHess, finite_diff, finite_diff_second, grad_hess
 from .estimator import FitOptions, FitResult, fit, init_params, standard_errors
 from .exceptions import (
     AllZeroResponseError,
@@ -33,10 +21,8 @@ from .exceptions import (
 from .fisher import (
     InfoKind,
     InfoMatrix,
-    brute_force_expected_neg_hessian,
     expected_info,
     expected_info_beta,
-    expected_info_cross,
     expected_info_theta,
     expected_trigamma_tail,
     observed_info,
@@ -50,26 +36,8 @@ from .identities import (
     check_trigamma_sum,
     default_grid,
 )
-from .mixture import (
-    gamma_density,
-    mixture_pmf,
-    nb_mean_bruteforce,
-    nb_variance_bruteforce,
-    poisson_pmf,
-    sample_nb,
-)
-from .model import (
-    Dataset,
-    LinkValues,
-    Params,
-    link_mean,
-    loglik,
-    loglik_alpha,
-    nb_pmf,
-    nb_pmf_binomial_form,
-    tail_prob,
-    truncated_pmf_sum,
-)
+from .mixture import mixture_pmf, nb_mean_bruteforce
+from .model import Dataset, LinkValues, Params, link_mean, loglik, nb_pmf
 from .special import (
     digamma,
     ln_gamma,

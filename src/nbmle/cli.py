@@ -82,6 +82,9 @@ def ingest_csv(path: str, response_column: str = "y",
                        or _read_rows(path, response_column, lead))
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise CliInputError(f"{path}: line {_first_non_utf8_line(path)} "
+                            f"is not UTF-8 text") from None
     if X.shape[1] == 0:
         raise CliInputError(
             f"{path}: no regressor columns and intercept disabled"
@@ -93,6 +96,18 @@ def ingest_csv(path: str, response_column: str = "y",
     print(f"loaded {ds.n} rows, {ds.p} design columns from {path}",
           file=sys.stderr)
     return ds
+
+
+def _first_non_utf8_line(path: str) -> int:
+    """The number of the first line of path that is not UTF-8 text, the
+    first line being 1 and a lone \\r ending a line, as csv reads it."""
+    with open(path, "rb") as raw:
+        lines = (part for line in raw for part in line.splitlines())
+        for k, part in enumerate(lines, start=1):
+            try:
+                part.decode("utf-8")
+            except UnicodeDecodeError:
+                return k
 
 
 def _design(header: list, response_column: str, lead: int, rows: int):

@@ -1,13 +1,12 @@
 """Analytic gradient and Hessian of the NB2 log-likelihood.
 
-Two evaluation strategies are provided for the dispersion derivatives:
-
-* the finite-sum ("gamma-free") forms, which agree with finite differences
-  of the log-likelihood and are the only forms the estimator consumes;
-* the literal gamma-function forms, which carry a bare digamma/trigamma
-  difference where the chain rule of d(1/theta)/dtheta would insert
-  -1/theta^2 factors.  They are exposed purely as comparison targets for
-  the identity suite and are *not* derivatives of anything.
+The dispersion derivatives are evaluated in their finite-sum
+("gamma-free") forms only, which agree with finite differences of the
+log-likelihood.  The literal gamma-function forms, which carry a bare
+digamma/trigamma difference where the chain rule of d(1/theta)/dtheta
+would insert -1/theta^2 factors, are not derivatives of anything: the
+identities module adjudicates those bare differences, and the tests keep
+the whole forms (tests/oracles.py) as comparison targets.
 
 With lam_i = exp(x_i'beta), u = 1/theta and t_i = theta*lam_i, the
 gamma-free derivatives are
@@ -40,8 +39,8 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DomainError
-from .model import Dataset, Params, _block_links, _loglik_sum, _row_blocks, link_mean
-from .special import _finite_sum_tables, _gamma_diff, digamma, trigamma
+from .model import Dataset, Params, _block_links, _loglik_sum, _row_blocks
+from .special import _finite_sum_tables
 
 
 @dataclass(frozen=True)
@@ -145,64 +144,6 @@ def grad_hess(ds: Dataset, p: Params) -> GradHess:
         h_bt=-cross[:, 1],
         h_tt=h_tt,
     )
-
-
-def score_beta(ds: Dataset, p: Params) -> np.ndarray:
-    """Gradient of the log-likelihood with respect to beta."""
-    return grad_hess(ds, p).score_beta
-
-
-def score_theta(ds: Dataset, p: Params) -> float:
-    """Derivative of the log-likelihood with respect to theta (finite-sum form)."""
-    return grad_hess(ds, p).score_theta
-
-
-def hessian_beta_beta(ds: Dataset, p: Params) -> np.ndarray:
-    """Hessian block in beta; symmetric negative semidefinite for y >= 0."""
-    return grad_hess(ds, p).h_bb
-
-
-def hessian_beta_theta(ds: Dataset, p: Params) -> np.ndarray:
-    """Cross partial d2/dbeta dtheta."""
-    return grad_hess(ds, p).h_bt
-
-
-def hessian_theta(ds: Dataset, p: Params) -> float:
-    """Second derivative of the log-likelihood in theta (finite-sum form)."""
-    return grad_hess(ds, p).h_tt
-
-
-def score_theta_gamma_form(ds: Dataset, p: Params) -> float:
-    """Literal gamma-function form of the theta-derivative.
-
-    Carries the bare digamma difference Psi(y_i + 1/theta) - Psi(1/theta)
-    in place of the -1/theta^2-weighted finite sum.  Returned for residual
-    comparison only; it does not match the finite-difference derivative
-    whenever some y_i > 0.
-    """
-    theta = p.theta
-    u = 1.0 / theta
-    lam = link_mean(ds.X, p.beta).lam
-    t = theta * lam
-    terms = (u * u * np.log1p(t) + (ds.y - lam) / (theta * (1.0 + t))
-             + _gamma_diff(digamma, ds.y, u))
-    return float(np.sum(terms))
-
-
-def hessian_theta_gamma_form(ds: Dataset, p: Params) -> float:
-    """Literal gamma-function form of the second theta-derivative.
-
-    Uses the bare trigamma difference Psi'(y_i + 1/theta) - Psi'(1/theta);
-    comparison target only.
-    """
-    theta = p.theta
-    u = 1.0 / theta
-    lam = link_mean(ds.X, p.beta).lam
-    t = theta * lam
-    u3 = u * u * u
-    terms = (-u3 * _theta_bracket(ds.y - lam, t, np.log1p(t), theta)
-             + _gamma_diff(trigamma, ds.y, u))
-    return float(np.sum(terms))
 
 
 def finite_diff(f: Callable[[float], float], x0: float, h: float) -> float:

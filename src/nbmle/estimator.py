@@ -19,8 +19,8 @@ magnitudes; such a step proves nothing about stationarity and never
 stops the fit.
 
 Each point the fit visits is evaluated once, by grad_hess, whose result
-carries the log-likelihood with the finite-sum derivative blocks; the
-literal gamma-function forms exist for comparison, not estimation.
+carries the log-likelihood with the finite-sum derivative blocks, the
+only derivative forms the package evaluates.
 
 Standard errors come from the inverse of the observed information by
 default, assembled from the evaluation at the last point; expected

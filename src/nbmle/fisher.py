@@ -41,7 +41,6 @@ from .model import (
     Dataset,
     Params,
     PmfChunk,
-    TruncatedSum,
     _pmf_chunks,
     link_mean,
 )
@@ -146,7 +145,7 @@ def _theta_series(lam: np.ndarray, theta: float, chunk: PmfChunk):
     table; lam is the vector of means the chunk's rows index.
 
     Returns per-row arrays (sum_j w_j Pr(Y >= j), sum_j w_j Pr(Y >= j+1),
-    brute-force E[-d2 lnL/dtheta2], sum of the table), with
+    brute-force E[-d2 lnL/dtheta2]), with
     w_j = (2j+u)/(j+u)^2 and u = 1/theta.  The survivor probabilities are
     suffix sums of the table.  The brute-force value weights each count's
     own negative Hessian, whose finite sum sum_{j<y} w_j is the running sum
@@ -163,7 +162,7 @@ def _theta_series(lam: np.ndarray, theta: float, chunk: PmfChunk):
     u3_cum_w = np.zeros(width)
     np.cumsum(w[:-1], out=u3_cum_w[1:])
     u3_cum_w *= u3
-    out = np.empty((4, pmf.shape[0]))
+    out = np.empty((3, pmf.shape[0]))
     for rows, j in _by_cutoff(chunk.cutoffs):
         p = _prefix(pmf, rows, j)
         surv = np.cumsum(p[:, ::-1], axis=1)[:, ::-1]
@@ -176,30 +175,7 @@ def _theta_series(lam: np.ndarray, theta: float, chunk: PmfChunk):
         neg_h *= u3
         neg_h -= u3_cum_w[:j]
         out[2, rows] = _dots(p, neg_h)
-        out[3, rows] = np.sum(p, axis=1)
     return out
-
-
-def _one_row_series(lam: float, theta: float, eps_tail: float):
-    """(the PmfChunk of one mean, its _theta_series)."""
-    lam = np.array([lam])
-    (chunk,) = _pmf_chunks(lam, theta, eps_tail)
-    return chunk, _theta_series(lam, theta, chunk)
-
-
-def brute_force_expected_neg_hessian(lam: float, theta: float,
-                                     eps_tail: float = DEFAULT_EPS_TAIL) -> TruncatedSum:
-    """E[-d2 lnL/dtheta2] for one observation, by direct pmf-weighted summation.
-
-    This is the verification oracle for the tail-probability formulas: it
-    weights each count's own negative Hessian by its pmf and never touches
-    the survivor sums.
-    """
-    lam = _require_positive(lam, "lam")
-    theta = _require_positive(theta, "theta")
-    chunk, (_, _, brute, weight_sum) = _one_row_series(lam, theta, eps_tail)
-    return TruncatedSum(float(brute[0]), int(chunk.cutoffs[0]),
-                        float(chunk.bounds[0]), float(weight_sum[0]))
 
 
 @dataclass(frozen=True)
@@ -221,7 +197,9 @@ def expected_trigamma_tail(lam: float, theta: float,
     theta = _require_positive(theta, "theta")
     u = 1.0 / theta
     u3 = u ** 3
-    chunk, (sum_a, sum_b, _, _) = _one_row_series(lam, theta, eps_tail)
+    lams = np.array([lam])
+    (chunk,) = _pmf_chunks(lams, theta, eps_tail)
+    sum_a, sum_b, _ = _theta_series(lams, theta, chunk)
     cutoff = int(chunk.cutoffs[0])
     pmf = chunk.pmf[0, :cutoff]
     # The double sum carries sum_{j<y} w_j as a running scalar across y, so
@@ -256,14 +234,14 @@ def expected_info_theta(ds: Dataset, p: Params,
     u = 1.0 / theta
     u3 = u * u * u
     lam = link_mean(ds.X, p.beta).lam
-    series = np.empty((4, lam.size))
+    series = np.empty((3, lam.size))
     cutoffs = np.empty(lam.size, dtype=np.int64)
     bounds = np.empty(lam.size)
     for chunk in _pmf_chunks(lam, theta, eps_tail):
         series[:, chunk.rows] = _theta_series(lam, theta, chunk)
         cutoffs[chunk.rows] = chunk.cutoffs
         bounds[chunk.rows] = chunk.bounds
-    sum_a, sum_b, brute, _ = series
+    sum_a, sum_b, brute = series
     t = theta * lam
     # math.log1p: np.log1p may differ from it in the last place, which
     # u3 * (smooth - sum) magnifies.
@@ -298,27 +276,6 @@ def expected_info_beta(ds: Dataset, p: Params) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def expected_info_cross(ds: Dataset, p: Params,
-                        eps_tail: float = DEFAULT_EPS_TAIL):
-    """The beta/theta cross block of the expected information.
-
-    Analytically zero because E[y_i] = lam_i; the brute-force pmf-weighted
-    version is returned alongside for verification.
-
-    Returns (zero vector, numeric vector).
-    """
-    theta = p.theta
-    lam = link_mean(ds.X, p.beta).lam
-    mean_dev = np.empty(lam.size)
-    for chunk in _pmf_chunks(lam, theta, eps_tail):
-        for rows, j in _by_cutoff(chunk.cutoffs):
-            dev = np.arange(j) - lam[chunk.rows[rows], None]
-            mean_dev[chunk.rows[rows]] = np.sum(dev * _prefix(chunk.pmf, rows, j), axis=1)
-    coef = lam / (1.0 + theta * lam) ** 2
-    numeric = np.cumsum((coef * mean_dev)[:, None] * ds.X, axis=0)[-1]
-    return np.zeros(ds.p), numeric
-
-
 def observed_info(ds: Dataset, p: Params) -> InfoMatrix:
     """Negative analytic Hessian assembled into a (p+1) x (p+1) matrix."""
     return observed_info_from(grad_hess(ds, p))
@@ -332,8 +289,8 @@ def observed_info_from(gh: GradHess) -> InfoMatrix:
 
 def expected_info(ds: Dataset, p: Params,
                   eps_tail: float = DEFAULT_EPS_TAIL) -> InfoMatrix:
-    """Expected information matrix: PSD beta block, zero cross block,
-    adjudicated theta element."""
+    """Expected information matrix: PSD beta block, zero cross block (as
+    E[y_i] = lam_i), adjudicated theta element."""
     k = ds.p + 1
     m = np.zeros((k, k))
     m[:-1, :-1] = expected_info_beta(ds, p)

@@ -1,5 +1,5 @@
-"""Poisson-Gamma mixture machinery: quadrature cross-check, moment oracles,
-and the compositional sampler.
+"""Poisson-Gamma mixture machinery: quadrature cross-check, the truncated
+mean that verify checks against lam, and the compositional sampler.
 
 Mixing a Poisson(lam * u) count with a unit-mean Gamma disturbance u
 (shape = rate = alpha) yields the NB2 distribution.  mixture_pmf evaluates
@@ -41,25 +41,10 @@ _MAX_HALVINGS = 12
 _POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 
 
-def gamma_density(u: float, alpha: float) -> float:
-    """Unit-mean Gamma density alpha^alpha / Gamma(alpha) * u^(alpha-1) e^(-alpha u)."""
-    u = _require_positive(u, "u")
-    alpha = _require_positive(alpha, "alpha")
-    return math.exp(alpha * math.log(alpha) - ln_gamma(alpha)
-                    + (alpha - 1.0) * math.log(u) - alpha * u)
-
-
-def poisson_pmf(y: int, lam: float) -> float:
-    """Poisson probability mass lam^y / y! * e^(-lam)."""
-    y = _require_count(y)
-    lam = _require_positive(lam, "lam")
-    return math.exp(y * math.log(lam) - ln_gamma(y + 1.0) - lam)
-
-
 def mixture_pmf(y: int, lam: float, alpha: float) -> float:
     """Pr(Y = y) via numerical evaluation of the Poisson-Gamma mixing integral.
 
-    integral_0^inf  poisson_pmf(y, lam*u) * gamma_density(u, alpha) du,
+    integral_0^inf  Poisson(y; lam*u) * Gamma(u; alpha, rate=alpha) du,
     which must equal the closed-form NB2 p.m.f.
 
     The trapezoid rule in t, where ln u = c + w sinh(t), halves its step
@@ -83,10 +68,11 @@ def mixture_pmf(y: int, lam: float, alpha: float) -> float:
     def integrand(t: np.ndarray) -> np.ndarray:
         v = c + w * np.sinh(t)
         u = np.exp(v)
-        # ln of poisson_pmf(y, lam*u) plus ln of u * gamma_density(u, alpha),
-        # the u from du = u dv.  y * (ln lam + v), not y * ln(lam * u): u
-        # underflows to 0 far left.  alpha * v, not (alpha - 1) * v + v: far
-        # left |v| reaches 40/s, and the two would cancel to a tiny alpha * v.
+        # ln of the Poisson(lam*u) mass at y plus ln of u times the Gamma
+        # density, the u from du = u dv.  y * (ln lam + v), not
+        # y * ln(lam * u): u underflows to 0 far left.  alpha * v, not
+        # (alpha - 1) * v + v: far left |v| reaches 40/s, and the two would
+        # cancel to a tiny alpha * v.
         return np.exp(
             (y * (ln_lam + v) - ln_y_factorial - lam * u)
             + (gamma_norm + alpha * v - alpha * u)
@@ -129,20 +115,6 @@ def nb_mean_bruteforce(lam: float, alpha: float,
     return float(np.arange(cutoff, dtype=float) @ pmf)
 
 
-def nb_variance_bruteforce(lam: float, alpha: float,
-                           eps_tail: float = 1e-12) -> float:
-    """Truncated sum_y y^2 pmf(y) minus the squared truncated mean, from one
-    pmf table.
-
-    Must equal lam + lam^2 / alpha, the NB2 variance."""
-    lam = _require_positive(lam, "lam")
-    alpha = _require_positive(alpha, "alpha")
-    pmf, cutoff, _ = _pmf_table(lam, 1.0 / alpha, eps_tail)
-    y = np.arange(cutoff, dtype=float)
-    mean = float(y @ pmf)
-    return float((y * y) @ pmf) - mean * mean
-
-
 def sample_counts(lam, theta: float, rng: np.random.Generator) -> np.ndarray:
     """Draw NB2 counts for a vector of means from an existing generator."""
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -156,17 +128,3 @@ def sample_counts(lam, theta: float, rng: np.random.Generator) -> np.ndarray:
         raise DomainError(f"Poisson mean lam*u = {float(mean.max())!r} exceeds "
                           f"the sampler's limit {_POISSON_LAM_MAX!r}")
     return rng.poisson(mean).astype(np.int64, copy=False)
-
-
-def sample_nb(lam: float, theta: float, seed: int, n: int) -> np.ndarray:
-    """Draw n NB2(lam, alpha = 1/theta) counts, deterministically per seed.
-
-    The compositional definition is used directly: u ~ Gamma(alpha,
-    rate=alpha), then y ~ Poisson(lam * u).  The seed-to-stream mapping is
-    numpy's default_rng (PCG64) and is stable across releases.
-    """
-    lam = _require_positive(lam, "lam")
-    if int(n) != n or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    rng = np.random.default_rng(int(seed))
-    return sample_counts(np.full(int(n), lam), theta, rng)

@@ -1,4 +1,4 @@
-"""NB2 probability model: p.d.f., link, log-likelihood, tail probabilities.
+"""NB2 probability model: p.d.f., link, log-likelihood, certified pmf tables.
 
 The model for counts y_i with regressors x_i is
 
@@ -41,7 +41,6 @@ from .exceptions import (
 )
 from .special import (
     _finite_sum_tables,
-    _finite_sums,
     _require_count,
     _require_positive,
     ln_gamma,
@@ -183,24 +182,6 @@ def nb_pmf(y: int, lam: float, alpha: float) -> float:
     return math.exp(nb_logpmf(y, lam, alpha))
 
 
-def nb_pmf_binomial_form(y: int, lam: float, alpha: int) -> float:
-    """Binomial-coefficient form of the p.m.f., defined for integer alpha.
-
-    C(y + alpha - 1, y) * r^y * (1 - r)^alpha with r = lam / (lam + alpha).
-    The factorials only make sense for integer alpha; fractional shapes must
-    use nb_pmf.
-    """
-    y = _require_count(y)
-    lam = _require_positive(lam, "lam")
-    if isinstance(alpha, bool) or int(alpha) != alpha or alpha < 1:
-        raise DomainError(f"alpha must be a positive integer, got {alpha!r}")
-    a = int(alpha)
-    log_comb = ln_gamma(y + a) - ln_gamma(y + 1.0) - ln_gamma(float(a))
-    log_r = math.log(lam) - math.log(lam + a)
-    log_1mr = math.log(a) - math.log(lam + a)
-    return math.exp(log_comb + y * log_r + a * log_1mr)
-
-
 def _row_blocks(n: int) -> list:
     """Slices of at most BLOCK_ROWS consecutive rows covering range(n), in
     order: one slice when n <= BLOCK_ROWS."""
@@ -246,25 +227,6 @@ def loglik(ds: Dataset, p: Params) -> float:
         ll += _loglik_sum(ds.y[s].astype(float), link.eta, theta,
                           np.log1p(theta * link.lam), log_sums[keys[s]])
     return ll
-
-
-def loglik_alpha(ds: Dataset, alpha: float, beta: np.ndarray) -> float:
-    """Log-likelihood in the gamma-shape parameterisation (beta, alpha).
-
-    sum_i { sum_{j<y_i} ln(j + alpha) - ln(y_i!) + y_i ln lambda_i
-            - y_i ln alpha - (alpha + y_i) ln(1 + lambda_i / alpha) }
-    """
-    alpha = _require_positive(alpha, "alpha")
-    lam = link_mean(ds.X, beta).lam
-    y = ds.y
-    terms = (
-        _finite_sums(y, alpha, "log")
-        - _finite_sums(y, 1.0, "log")
-        + y * np.log(lam)
-        - y * math.log(alpha)
-        - (alpha + y) * np.log1p(lam / alpha)
-    )
-    return float(np.sum(terms))
 
 
 # A chunk of the batched pmf table holds at most about this many entries;
@@ -389,42 +351,3 @@ def _pmf_table(lam: float, theta: float, eps_tail: float = DEFAULT_EPS_TAIL,
     (chunk,) = _pmf_chunks([lam], theta, eps_tail, hard_cap)
     cutoff = int(chunk.cutoffs[0])
     return chunk.pmf[0, :cutoff], cutoff, float(chunk.bounds[0])
-
-
-def tail_prob(j: int, lam: float, theta: float) -> float:
-    """Pr(Y >= j) for Y ~ NB2(lam, alpha = 1/theta), clamped to [0, 1].
-
-    Computed as 1 - sum_{y<j} pmf(y) over the pmf table; for j past the
-    table's cutoff the result is within DEFAULT_EPS_TAIL of the truth.
-    """
-    j = _require_count(j, "j")
-    lam = _require_positive(lam, "lam")
-    theta = _require_positive(theta, "theta")
-    pmf, _, _ = _pmf_table(lam, theta)
-    return min(1.0, max(0.0, 1.0 - math.fsum(pmf[:j])))
-
-
-@dataclass(frozen=True)
-class TruncatedSum:
-    """A pmf-weighted series value with its truncation diagnostics."""
-
-    value: float
-    cutoff: int
-    tail_bound: float
-    weight_sum: float
-
-
-def truncated_pmf_sum(f, lam: float, theta: float, eps_tail: float = DEFAULT_EPS_TAIL,
-                      hard_cap: int = TRUNCATION_HARD_CAP) -> TruncatedSum:
-    """sum_y f(y) * pmf(y) over the counts y < J of the pmf table.
-
-    J is the first count past the moment floor at which the certified
-    bound on the neglected mass Pr(Y >= J) is below eps_tail; tail_bound
-    is that bound.  f is called once per count with a Python int.  Raises
-    TruncationCapExceeded when J would pass hard_cap.
-    """
-    lam = _require_positive(lam, "lam")
-    theta = _require_positive(theta, "theta")
-    pmf, cutoff, bound = _pmf_table(lam, theta, eps_tail, hard_cap)
-    values = np.fromiter((f(y) for y in range(cutoff)), float, cutoff)
-    return TruncatedSum(float(np.sum(values * pmf)), cutoff, bound, float(np.sum(pmf)))

@@ -81,6 +81,38 @@ class TestIngest:
             ingest_csv(str(f))
         assert "empty" in str(err.value)
 
+    def test_non_utf8_header_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"y,x1,x\xff2\n1,2,3\n")
+        capsys.readouterr()
+        assert run(["fit", "--input", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 1 is not UTF-8 text\n")
+
+    def test_non_utf8_line_past_the_first_blocks_is_input_error(self, tmp_path,
+                                                                 capsys):
+        lines = [b"y,x1,x2"] + [b"%d,%d.5,2" % (k % 5, k % 7)
+                                for k in range(19_999)]
+        lines[15_000] = b"\xff\xfe,1,2"
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        capsys.readouterr()
+        assert run(["fit", "--input", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 15001 is not UTF-8 text\n")
+
+    @pytest.mark.parametrize("data, line", [
+        # A lone \r ends a line, as csv reads it; a blank line counts.
+        (b"y,x1\r\n0,0.5\r1,2\n\n\xe2\x82,1\n", 5),
+        # A byte-order mark is UTF-8 text; an overlong encoding is not.
+        (b"\xef\xbb\xbfy,x1\r\n0,0.5\r\n1,\xc0\xaf\r\n", 3),
+    ], ids=["lone_cr", "byte_order_mark"])
+    def test_non_utf8_line_number(self, tmp_path, data, line):
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        with pytest.raises(CliInputError, match=f"line {line} is not UTF-8 text$"):
+            ingest_csv(str(path))
+
 
 class TestIngestFastPath:
     """numpy's reader returns what the row parser returns, or defers to it."""

@@ -13,18 +13,11 @@ from nbmle import (
     finite_diff,
     finite_diff_second,
     grad_hess,
-    hessian_beta_beta,
-    hessian_beta_theta,
-    hessian_theta,
-    hessian_theta_gamma_form,
     link_mean,
     loglik,
-    score_beta,
-    score_theta,
-    score_theta_gamma_form,
-    truncated_pmf_sum,
 )
 from conftest import make_instance
+from oracles import hessian_theta_gamma_form, score_theta_gamma_form, truncated_pmf_sum
 
 
 def rel_err(a, b):
@@ -41,17 +34,17 @@ class TestScoreBeta:
         # lam = exp(0) = 1 everywhere, y = 1 everywhere
         X = np.hstack([np.ones((6, 1)), np.linspace(-1, 1, 6).reshape(-1, 1)])
         ds = Dataset(y=np.ones(6, dtype=int), X=X)
-        g = score_beta(ds, Params(np.zeros(2), 0.7))
+        g = grad_hess(ds, Params(np.zeros(2), 0.7)).score_beta
         np.testing.assert_allclose(g, 0.0, atol=1e-12)
 
     def test_hand_value(self):
         ds, p = single_obs(2, 1.0)
-        assert score_beta(ds, p)[0] == pytest.approx(0.5, rel=1e-14)
+        assert grad_hess(ds, p).score_beta[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_finite_difference_match(self, rng):
         for _ in range(30):
             ds, p = make_instance(rng)
-            g = score_beta(ds, p)
+            g = grad_hess(ds, p).score_beta
             for k in range(ds.p):
                 def f(v):
                     b = p.beta.copy()
@@ -64,7 +57,8 @@ class TestScoreBeta:
 class TestScoreTheta:
     def test_hand_value_zero_count(self):
         ds, p = single_obs(0, 1.0)
-        assert score_theta(ds, p) == pytest.approx(math.log(2.0) - 0.5, abs=1e-14)
+        assert grad_hess(ds, p).score_theta == pytest.approx(math.log(2.0) - 0.5,
+                                                             abs=1e-14)
 
     def test_finite_difference_match(self, rng):
         for _ in range(50):
@@ -73,7 +67,7 @@ class TestScoreTheta:
                 lambda t: loglik(ds, Params(p.beta, t)),
                 p.theta, 1e-5 * (1.0 + p.theta),
             )
-            assert rel_err(score_theta(ds, p), fd) < 1e-6
+            assert rel_err(grad_hess(ds, p).score_theta, fd) < 1e-6
 
     def test_zero_mean_over_pmf(self):
         # At the data-generating parameters the expected score vanishes.
@@ -83,7 +77,7 @@ class TestScoreTheta:
 
                 def contrib(y):
                     ds = Dataset(y=np.array([y]), X=np.array([[1.0]]))
-                    return score_theta(ds, Params(beta, theta))
+                    return grad_hess(ds, Params(beta, theta)).score_theta
 
                 res = truncated_pmf_sum(contrib, lam, theta)
                 assert abs(res.value) < 1e-8
@@ -94,14 +88,14 @@ class TestScoreThetaGammaForm:
         ds = Dataset(y=np.zeros(4, dtype=int), X=np.ones((4, 1)))
         p = Params(np.array([0.3]), 0.9)
         assert score_theta_gamma_form(ds, p) == pytest.approx(
-            score_theta(ds, p), abs=1e-12
+            grad_hess(ds, p).score_theta, abs=1e-12
         )
 
     def test_hand_residual_is_two(self):
         # y=1, theta=1, lam=1: gamma form gives ln2 + 1, finite-sum form ln2 - 1.
         ds, p = single_obs(1, 1.0)
         gamma_form = score_theta_gamma_form(ds, p)
-        sum_form = score_theta(ds, p)
+        sum_form = grad_hess(ds, p).score_theta
         assert gamma_form == pytest.approx(math.log(2.0) + 1.0, abs=1e-12)
         assert sum_form == pytest.approx(math.log(2.0) - 1.0, abs=1e-12)
         assert gamma_form - sum_form == pytest.approx(2.0, abs=1e-12)
@@ -119,7 +113,7 @@ class TestScoreThetaGammaForm:
                 p.theta, 1e-5 * (1.0 + p.theta),
             )
             assert abs(score_theta_gamma_form(ds, p) - fd) > 1e-3
-            assert score_theta_gamma_form(ds, p) - score_theta(ds, p) > 0.0
+            assert score_theta_gamma_form(ds, p) - grad_hess(ds, p).score_theta > 0.0
 
 
 class TestHessianTheta:
@@ -128,7 +122,7 @@ class TestHessianTheta:
         # theta=1, lam=1 gives 1.25 - 2 ln 2 (confirmed against the
         # finite-difference of the log-likelihood).
         ds, p = single_obs(0, 1.0)
-        assert hessian_theta(ds, p) == pytest.approx(
+        assert grad_hess(ds, p).h_tt == pytest.approx(
             1.25 - 2.0 * math.log(2.0), abs=1e-13
         )
 
@@ -136,10 +130,10 @@ class TestHessianTheta:
         for _ in range(40):
             ds, p = make_instance(rng)
             fd = finite_diff(
-                lambda t: score_theta(ds, Params(p.beta, t)),
+                lambda t: grad_hess(ds, Params(p.beta, t)).score_theta,
                 p.theta, 1e-5 * (1.0 + p.theta),
             )
-            assert rel_err(hessian_theta(ds, p), fd) < 1e-5
+            assert rel_err(grad_hess(ds, p).h_tt, fd) < 1e-5
 
     def test_counts_equal_means_reduction(self):
         # With y_i = lam_i the (y - lam) term drops from the bracket.
@@ -153,7 +147,7 @@ class TestHessianTheta:
             u**3 * (u / (0.0 + u) ** 2)  # j = 0 term of the weighted sum
             - u**3 * ((-t * (1.0 + t)) / (1.0 + t) ** 2 + 2.0 * math.log1p(t))
         )
-        assert hessian_theta(ds, p) == pytest.approx(3.0 * expected_one, rel=1e-12)
+        assert grad_hess(ds, p).h_tt == pytest.approx(3.0 * expected_one, rel=1e-12)
 
 
 class TestHessianThetaGammaForm:
@@ -161,7 +155,7 @@ class TestHessianThetaGammaForm:
         ds = Dataset(y=np.zeros(5, dtype=int), X=np.ones((5, 1)))
         p = Params(np.array([-0.2]), 1.3)
         assert hessian_theta_gamma_form(ds, p) == pytest.approx(
-            hessian_theta(ds, p), abs=1e-12
+            grad_hess(ds, p).h_tt, abs=1e-12
         )
 
     def test_hand_value(self):
@@ -170,14 +164,14 @@ class TestHessianThetaGammaForm:
         # trigamma difference minus the weighted sum = -1 - 1 = -2.
         ds, p = single_obs(1, 1.0)
         gamma_form = hessian_theta_gamma_form(ds, p)
-        sum_form = hessian_theta(ds, p)
+        sum_form = grad_hess(ds, p).h_tt
         assert gamma_form - sum_form == pytest.approx(-2.0, abs=1e-12)
 
     def test_residual_reported_not_zero(self, rng):
         ds, p = make_instance(rng)
         if np.any(ds.y > 0):
             assert hessian_theta_gamma_form(ds, p) != pytest.approx(
-                hessian_theta(ds, p), abs=1e-8
+                grad_hess(ds, p).h_tt, abs=1e-8
             )
 
 
@@ -225,17 +219,17 @@ class TestGammaFormsAgainstScipy:
 class TestHessianBetaBlocks:
     def test_bb_hand_value(self):
         ds, p = single_obs(1, 1.0)
-        assert hessian_beta_beta(ds, p)[0, 0] == pytest.approx(-0.5, rel=1e-14)
+        assert grad_hess(ds, p).h_bb[0, 0] == pytest.approx(-0.5, rel=1e-14)
 
     def test_bb_finite_difference_match(self, rng):
         for _ in range(25):
             ds, p = make_instance(rng)
-            h = hessian_beta_beta(ds, p)
+            h = grad_hess(ds, p).h_bb
             for k in range(ds.p):
                 def g(v):
                     b = p.beta.copy()
                     b[k] = v
-                    return score_beta(ds, Params(b, p.theta))
+                    return grad_hess(ds, Params(b, p.theta)).score_beta
                 step = 1e-5 * (1.0 + abs(p.beta[k]))
                 col = (g(p.beta[k] + step) - g(p.beta[k] - step)) / (2 * step)
                 np.testing.assert_allclose(
@@ -245,7 +239,7 @@ class TestHessianBetaBlocks:
     def test_bb_negative_semidefinite(self, rng):
         for _ in range(30):
             ds, p = make_instance(rng)
-            eigs = np.linalg.eigvalsh(hessian_beta_beta(ds, p))
+            eigs = np.linalg.eigvalsh(grad_hess(ds, p).h_bb)
             assert eigs.max() <= 1e-10
 
     def test_bb_poisson_limit(self, rng):
@@ -254,7 +248,7 @@ class TestHessianBetaBlocks:
         lam = link_mean(ds.X, p.beta).lam
         poisson_h = -(ds.X.T * lam) @ ds.X
         np.testing.assert_allclose(
-            hessian_beta_beta(ds, tiny), poisson_h,
+            grad_hess(ds, tiny).h_bb, poisson_h,
             atol=1e-6 * (1 + np.abs(poisson_h).max()),
         )
 
@@ -262,23 +256,23 @@ class TestHessianBetaBlocks:
         X = np.hstack([np.ones((4, 1)), np.array([[0.5], [-0.5], [1.0], [-1.0]])])
         ds = Dataset(y=np.ones(4, dtype=int), X=X)
         np.testing.assert_allclose(
-            hessian_beta_theta(ds, Params(np.zeros(2), 0.6)), 0.0, atol=1e-13
+            grad_hess(ds, Params(np.zeros(2), 0.6)).h_bt, 0.0, atol=1e-13
         )
 
     def test_bt_hand_value(self):
         ds, p = single_obs(2, 1.0)
-        assert hessian_beta_theta(ds, p)[0] == pytest.approx(-0.25, rel=1e-14)
+        assert grad_hess(ds, p).h_bt[0] == pytest.approx(-0.25, rel=1e-14)
 
     def test_bt_finite_difference_match(self, rng):
         for _ in range(25):
             ds, p = make_instance(rng)
             step = 1e-5 * (1.0 + p.theta)
             fd = (
-                score_beta(ds, Params(p.beta, p.theta + step))
-                - score_beta(ds, Params(p.beta, p.theta - step))
+                grad_hess(ds, Params(p.beta, p.theta + step)).score_beta
+                - grad_hess(ds, Params(p.beta, p.theta - step)).score_beta
             ) / (2 * step)
             np.testing.assert_allclose(
-                hessian_beta_theta(ds, p), fd, rtol=1e-5,
+                grad_hess(ds, p).h_bt, fd, rtol=1e-5,
                 atol=1e-7 * (1 + np.abs(fd).max()),
             )
 
@@ -291,7 +285,7 @@ class TestZeroMeanBetaScore:
 
                 def contrib(y):
                     ds = Dataset(y=np.array([y]), X=np.array([[1.0]]))
-                    return float(score_beta(ds, Params(beta, theta))[0])
+                    return float(grad_hess(ds, Params(beta, theta)).score_beta[0])
 
                 res = truncated_pmf_sum(contrib, lam, theta)
                 assert abs(res.value) < 1e-8
@@ -323,15 +317,15 @@ class TestFiniteDiff:
         fd = finite_diff(
             lambda t: loglik(ds, Params(p.beta, t)), p.theta, 1e-5 * (1 + p.theta)
         )
-        assert rel_err(score_theta(ds, p), fd) < 1e-6
+        assert rel_err(grad_hess(ds, p).score_theta, fd) < 1e-6
 
 
 class TestGradHessContainer:
     def test_collects_consistent_blocks(self, rng):
         ds, p = make_instance(rng)
-        gh = grad_hess(ds, p)
-        np.testing.assert_array_equal(gh.score_beta, score_beta(ds, p))
-        assert gh.h_tt == hessian_theta(ds, p)
+        gh, again = grad_hess(ds, p), grad_hess(ds, p)
+        np.testing.assert_array_equal(gh.score_beta, again.score_beta)
+        assert gh.h_tt == again.h_tt
         np.testing.assert_array_equal(gh.h_bb, gh.h_bb.T)
 
 
@@ -340,7 +334,6 @@ class TestSharedLink:
 
     @pytest.fixture
     def link_calls(self, monkeypatch):
-        import nbmle.derivatives
         import nbmle.model
 
         calls = []
@@ -349,7 +342,6 @@ class TestSharedLink:
             calls.append(1)
             return link_mean(*args)
 
-        monkeypatch.setattr(nbmle.derivatives, "link_mean", counting)
         monkeypatch.setattr(nbmle.model, "link_mean", counting)
         return calls
 

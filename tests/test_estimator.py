@@ -15,10 +15,9 @@ from nbmle import (
     LinearPredictorOverflow,
     Params,
     fit,
+    grad_hess,
     init_params,
     loglik,
-    score_beta,
-    score_theta,
     standard_errors,
 )
 from conftest import simulate_dataset
@@ -156,10 +155,9 @@ class TestFitRecovery:
     def test_first_order_conditions_at_optimum(self, recovery_fit):
         ds, res = recovery_fit
         p = Params(res.beta_hat, res.theta_hat)
-        assert np.abs(score_beta(ds, p)).max() <= 1e-8
-        from nbmle import score_theta
-
-        assert abs(score_theta(ds, p) * res.theta_hat) <= 1e-8
+        gh = grad_hess(ds, p)
+        assert np.abs(gh.score_beta).max() <= 1e-8
+        assert abs(gh.score_theta * res.theta_hat) <= 1e-8
 
 
 class TestSearchCoordinates:
@@ -257,7 +255,7 @@ class TestScaleInvariantConvergence:
         res = fit(ds)
         assert res.converged, res.message
         p = Params(res.beta_hat, res.theta_hat)
-        assert np.abs(score_beta(ds, p)).max() <= 1e-6
+        assert np.abs(grad_hess(ds, p).score_beta).max() <= 1e-6
 
     @staticmethod
     def _grid_dataset(n, beta0, theta):
@@ -271,7 +269,8 @@ class TestScaleInvariantConvergence:
         # errors; in those units the test is free of the data's scale.
         assert res.converged, res.message
         p = Params(res.beta_hat, res.theta_hat)
-        in_se = np.abs(np.append(score_beta(ds, p), score_theta(ds, p))) * res.se
+        gh = grad_hess(ds, p)
+        in_se = np.abs(np.append(gh.score_beta, gh.score_theta)) * res.se
         assert in_se[:-1 if res.boundary_theta else None].max() <= 1e-5
 
     @pytest.mark.parametrize("theta", [0.01, 0.8, 50.0])
@@ -396,7 +395,6 @@ class TestOneEvaluationPerPoint:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        import nbmle.derivatives
         import nbmle.estimator
         import nbmle.fisher
         import nbmle.model
@@ -417,7 +415,6 @@ class TestOneEvaluationPerPoint:
             calls["loglik"] += 1
             return loglik(ds, p)
 
-        monkeypatch.setattr(nbmle.derivatives, "link_mean", counting_link)
         monkeypatch.setattr(nbmle.model, "link_mean", counting_link)
         monkeypatch.setattr(nbmle.estimator, "grad_hess", recording_grad_hess)
         monkeypatch.setattr(nbmle.fisher, "grad_hess", recording_grad_hess)

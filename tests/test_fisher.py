@@ -8,25 +8,22 @@ from nbmle import (
     Dataset,
     InfoKind,
     Params,
-    brute_force_expected_neg_hessian,
     expected_info,
     expected_info_beta,
-    expected_info_cross,
     expected_info_theta,
     expected_trigamma_tail,
     fit,
     grad_hess,
-    hessian_beta_beta,
     link_mean,
     loglik,
     observed_info,
-    truncated_pmf_sum,
 )
 import nbmle.model as model
 from nbmle.derivatives import _theta_bracket
 from nbmle.fisher import _theta_series
 from nbmle.model import _pmf_table
 from conftest import make_instance, simulate_dataset
+from oracles import truncated_pmf_sum
 
 LAMBDA_GRID = (0.2, 1.0, 5.0)
 THETA_GRID = (0.2, 1.0, 3.0)
@@ -35,6 +32,14 @@ THETA_GRID = (0.2, 1.0, 3.0)
 def one_obs_dataset(lam, theta):
     ds = Dataset(y=np.array([1]), X=np.array([[1.0]]))
     return ds, Params(np.array([math.log(lam)]), theta)
+
+
+def brute_force(lam, theta):
+    """(E[-d2 lnL/dtheta2] of one mean by pmf-weighted summation, as
+    _theta_series computes it, and the pmf table it weights with)."""
+    lams = np.array([lam])
+    (chunk,) = model._pmf_chunks(lams, theta)
+    return float(_theta_series(lams, theta, chunk)[2, 0]), chunk.pmf[0]
 
 
 class TestTailExpectation:
@@ -72,13 +77,13 @@ class TestTailExpectation:
 
 class TestBruteForce:
     def test_positive_finite_reference(self):
-        res = brute_force_expected_neg_hessian(1.0, 1.0)
-        assert math.isfinite(res.value)
-        assert res.value > 0.0
+        value, _ = brute_force(1.0, 1.0)
+        assert math.isfinite(value)
+        assert value > 0.0
 
     def test_weights_cover_distribution(self):
-        res = brute_force_expected_neg_hessian(5.0, 3.0)
-        assert res.weight_sum >= 1.0 - 1e-9
+        _, pmf = brute_force(5.0, 3.0)
+        assert np.sum(pmf) >= 1.0 - 1e-9
 
     def test_matches_direct_definition(self):
         # Independent re-computation through the generic truncated sum and
@@ -91,8 +96,8 @@ class TestBruteForce:
             return -grad_hess(ds, Params(beta, theta)).h_tt
 
         direct = truncated_pmf_sum(neg_h_tt, lam, theta)
-        res = brute_force_expected_neg_hessian(lam, theta)
-        assert res.value == pytest.approx(direct.value, rel=1e-12)
+        value, _ = brute_force(lam, theta)
+        assert value == pytest.approx(direct.value, rel=1e-12)
 
 
 class TestExpectedInfoTheta:
@@ -158,7 +163,7 @@ class TestExpectedInfoBeta:
 
         def neg_h_bb(y):
             d = Dataset(y=np.array([y]), X=np.array([[1.0]]))
-            return -float(hessian_beta_beta(d, Params(beta, theta))[0, 0])
+            return -float(grad_hess(d, Params(beta, theta)).h_bb[0, 0])
 
         direct = truncated_pmf_sum(neg_h_bb, lam, theta)
         assert expected_info_beta(ds, p)[0, 0] == pytest.approx(
@@ -183,11 +188,22 @@ class TestExpectedInfoBeta:
 
 
 class TestExpectedInfoCross:
+    """The cross block is zero, as is its pmf-weighted sum over the rows."""
+
+    @staticmethod
+    def _per_row_cross(ds, p):
+        """The cross block's numeric vector row by row from one-row tables."""
+        numeric = np.zeros(ds.p)
+        for i, lam_i in enumerate(link_mean(ds.X, p.beta).lam):
+            pmf, cutoff, _ = _pmf_table(lam_i, p.theta)
+            mean_dev = float(np.sum((np.arange(cutoff) - lam_i) * pmf))
+            numeric += lam_i / (1.0 + p.theta * lam_i) ** 2 * mean_dev * ds.X[i]
+        return numeric
+
     def test_analytic_zero(self):
         ds, p = one_obs_dataset(2.0, 1.0)
-        analytic, numeric = expected_info_cross(ds, p)
-        np.testing.assert_array_equal(analytic, 0.0)
-        assert np.abs(numeric).max() < 1e-8
+        np.testing.assert_array_equal(expected_info(ds, p).cross_block, 0.0)
+        assert np.abs(self._per_row_cross(ds, p)).max() < 1e-8
 
     def test_skewed_design_still_zero(self, rng):
         X = np.hstack([np.ones((6, 1)),
@@ -195,9 +211,8 @@ class TestExpectedInfoCross:
                        rng.uniform(-2.0, 0.0, (6, 1))])
         ds = Dataset(y=np.arange(6), X=X)
         p = Params(np.array([0.4, 0.3, -0.2]), 0.7)
-        analytic, numeric = expected_info_cross(ds, p)
-        np.testing.assert_array_equal(analytic, 0.0)
-        assert np.abs(numeric).max() < 1e-8
+        np.testing.assert_array_equal(expected_info(ds, p).cross_block, 0.0)
+        assert np.abs(self._per_row_cross(ds, p)).max() < 1e-8
 
 
 class TestBatchedSeries:
@@ -212,24 +227,6 @@ class TestBatchedSeries:
         return Dataset(y=rng.integers(0, 50, n), X=X)
 
     @staticmethod
-    def _per_row_cross(ds, p):
-        """The cross block's numeric vector row by row from one-row tables."""
-        numeric = np.zeros(ds.p)
-        for i, lam_i in enumerate(link_mean(ds.X, p.beta).lam):
-            pmf, cutoff, _ = _pmf_table(lam_i, p.theta)
-            mean_dev = float(np.sum((np.arange(cutoff) - lam_i) * pmf))
-            numeric += lam_i / (1.0 + p.theta * lam_i) ** 2 * mean_dev * ds.X[i]
-        return numeric
-
-    @pytest.mark.parametrize("theta", [1e-6, 0.05, 0.8, 5.0])
-    def test_cross_matches_the_per_row_sum(self, monkeypatch, theta):
-        ds = self._dataset()
-        p = Params(np.array([1.3, 1.2]), theta)  # lam from 0.1 to 1.3e2
-        monkeypatch.setattr(model, "_CHUNK_ENTRIES", 256)
-        _, numeric = expected_info_cross(ds, p)
-        np.testing.assert_allclose(numeric, self._per_row_cross(ds, p), rtol=1e-13, atol=0)
-
-    @staticmethod
     def _one_dimensional_series(lam, theta):
         """The dispersion series of one mean on its 1-D table."""
         pmf, cutoff, _ = _pmf_table(lam, theta)
@@ -241,7 +238,7 @@ class TestBatchedSeries:
         cum_w = np.concatenate(([0.0], np.cumsum(w[:-1])))
         t = theta * lam
         neg_h = u3 * _theta_bracket(y - lam, t, np.log1p(t), theta) - u3 * cum_w
-        return w @ surv, w[:-1] @ surv[1:], pmf @ neg_h, np.sum(pmf)
+        return w @ surv, w[:-1] @ surv[1:], pmf @ neg_h
 
     @pytest.mark.parametrize("theta", [1e-6, 0.05, 0.8, 5.0])
     def test_rows_match_the_1d_series_bit_for_bit(self, monkeypatch, theta):
@@ -263,7 +260,7 @@ class TestBatchedSeries:
         rows = [expected_trigamma_tail(lam_i, theta) for lam_i in lam]
         assert report.cutoffs == tuple(r.cutoff for r in rows)
         assert report.tail_bounds == tuple(r.tail_bound for r in rows)
-        brute = sum(brute_force_expected_neg_hessian(lam_i, theta).value for lam_i in lam)
+        brute = sum(brute_force(lam_i, theta)[0] for lam_i in lam)
         assert report.brute_force_total == pytest.approx(brute, rel=1e-12)
 
 
