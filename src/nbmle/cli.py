@@ -57,9 +57,8 @@ def _fmt(x: float) -> str:
 # Counts above 2**53 are not all representable in a float64 cell.
 MAX_RESPONSE = 2 ** 53
 
-# Rows per block of simulate output, and lines per block of a CSV body
-# that numpy parses: the text held at a time stays small and flat in n.
-_WRITE_ROWS = 1 << 14
+# Lines per block of a CSV body that numpy parses: the text held at a
+# time stays small and flat in n.
 _READ_LINES = 1 << 12
 
 # ASCII control characters that numpy strips from a cell as whitespace and
@@ -130,6 +129,12 @@ def _put(body: np.ndarray, start: int, y_col: int, lead: int,
     return stop
 
 
+def _is_response(v):
+    """Whether each value of v, an array or a scalar, is a non-negative
+    integer up to MAX_RESPONSE."""
+    return (v >= 0) & (v <= MAX_RESPONSE) & (v == np.floor(v))
+
+
 def _read_numeric(path: str, response_column: str, lead: int):
     """(names, y, X) as _design lays them out, parsed by numpy's loadtxt,
     or None.
@@ -174,9 +179,7 @@ def _read_numeric(path: str, response_column: str, lead: int):
                     continue
                 if body.shape[1] != len(header):
                     return None
-                resp = body[:, y_col]
-                if not np.all((resp >= 0) & (resp <= MAX_RESPONSE)
-                              & (resp == np.floor(resp))):
+                if not np.all(_is_response(body[:, y_col])):
                     return None
                 n = _put(body, n, y_col, lead, y, X)
         except (ValueError, UserWarning):
@@ -217,8 +220,7 @@ def _read_rows(path: str, response_column: str, lead: int):
                         f"{path}: non-numeric cell at row {r}, "
                         f"column {header[j]!r}: {cell!r}"
                     ) from None
-            resp = parsed[y_col]
-            if not 0 <= resp <= MAX_RESPONSE or resp != int(resp):
+            if not _is_response(parsed[y_col]):
                 raise CliInputError(
                     f"{path}: response must be a non-negative integer; got "
                     f"{row[y_col]!r} at row {r}, column {response_column!r}"
@@ -372,8 +374,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     y = sample_counts(lam, args.theta, rng)
     del lam  # freed before any worker is forked
     header = [args.response] + [f"x{j}" for j in range(1, p)]
-    blocks = [(y[s:s + _WRITE_ROWS], Z[s:s + _WRITE_ROWS])
-              for s in range(0, args.n, _WRITE_ROWS)]
+    blocks = [(y[s], Z[s]) for s in _row_blocks(args.n)]
     # The workers start before anything is written, so none inherits an
     # unflushed output buffer.
     with _formatted(blocks) as texts, _output(args) as out:

@@ -24,7 +24,7 @@ gamma-free derivatives are
 grad_hess also returns the log-likelihood at the point (GradHess.loglik),
 by model.loglik's expression over the link and ln(1+t_i) it already holds.
 It reduces every sum over i one block of model.BLOCK_ROWS rows at a time,
-and evaluates the link one block at a time too.
+and evaluates each block's link once, at the top of its step.
 
 All functions are pure; per-observation reductions use numpy's pairwise
 summation within a block and add the blocks in order.
@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DomainError
-from .model import Dataset, Params, _block_links, _loglik_sum, _row_blocks
+from .model import Dataset, Params, _loglik_sum, _row_blocks, link_mean
 from .special import _finite_sum_tables
 
 
@@ -67,17 +67,20 @@ def _theta_bracket(resid, t, log1p_t, theta: float):
     return (theta * (1.0 + 2.0 * t) * resid - t * one) / one**2 + 2.0 * log1p_t
 
 
-def _require_finite_range(theta: float, lam_max: float, y: np.ndarray) -> None:
-    """DomainError naming theta where the blocks cannot be finite doubles:
+def _require_finite_range(theta: float, lam_max: float = 0.0,
+                          y_max: float = 0.0) -> None:
+    """DomainError naming theta where a block cannot be finite doubles:
     1/theta^2 underflows to zero, (theta * lam_max)^2 or the bracket's
     theta (1 + 2 theta lam)(y - lam), with |y - lam| <= max(y, lam),
-    overflows, or 1/theta^3 overflows."""
+    overflows, or 1/theta^3 overflows; lam_max and y_max are the block's
+    largest mean and count.  With the defaults only the conditions on
+    theta alone are checked."""
     u, t_max = 1.0 / theta, theta * lam_max
     if u * u == 0.0:
         why = "1/theta^2 underflows to zero"
     elif t_max * t_max == math.inf:
         why = f"(theta*lam)^2 overflows at the largest mean, {lam_max!r}"
-    elif theta * (1.0 + 2.0 * t_max) * max(lam_max, float(y.max())) == math.inf:
+    elif theta * (1.0 + 2.0 * t_max) * max(lam_max, y_max) == math.inf:
         why = "theta*(1 + 2*theta*lam)*(y - lam) overflows"
     elif u * u * u == math.inf:
         why = "1/theta^3 overflows"
@@ -89,10 +92,11 @@ def _require_finite_range(theta: float, lam_max: float, y: np.ndarray) -> None:
 def grad_hess(ds: Dataset, p: Params) -> GradHess:
     """Evaluate the log-likelihood and every derivative block in one pass.
 
-    The finite-sum tables are built once for all rows; the link, from
-    model._block_links, and every other quantity are formed, and reduced,
-    one block of model._row_blocks at a time, with r = 1/(1+t) and
-    a = (y - lam) r shared by all six.
+    The finite-sum tables are built once for all rows, after the theta
+    conditions of _require_finite_range.  Then, one block of
+    model._row_blocks at a time, the block's link is evaluated, its
+    largest mean and count are range-checked, and every quantity is formed
+    and reduced, with r = 1/(1+t) and a = (y - lam) r shared by all six.
     The score and the Hessian's beta rows come from one product per block,
     X_b' [a, lam a r, w X_b], with w the h_bb weight lam (1 + theta y) r^2.
     The log-likelihood is model.loglik's, block for block.
@@ -100,12 +104,11 @@ def grad_hess(ds: Dataset, p: Params) -> GradHess:
     theta = p.theta
     u = 1.0 / theta
     y, X = ds.y, ds.X
-    lam_max, link_of = _block_links(X, p.beta)
     # Past LARGE_COUNT_SWITCH the tables call trigamma(1/theta), whose own
     # DomainError comes before the range check.
     (log_u, log_1, weights, recip), keys = _finite_sum_tables(
         y, ((u, "log"), (1.0, "log"), (u, "weights"), (u, "recip")),
-        check=lambda: _require_finite_range(theta, lam_max, y))
+        check=lambda: _require_finite_range(theta))
     log_sums = log_u - log_1
     u2, u3 = u * u, u * u * u
     n, k = X.shape
@@ -113,8 +116,10 @@ def grad_hess(ds: Dataset, p: Params) -> GradHess:
     cross = np.zeros((k, k + 2))
     # Arrays are deleted once spent: one block's scratch is all that is held.
     for s in _row_blocks(n):
-        key, link, X_b = keys[s], link_of(s), X[s]
-        lam_b, y_b = link.lam, y[s].astype(float)
+        key, X_b, y_b = keys[s], X[s], y[s].astype(float)
+        link = link_mean(X_b, p.beta, s.start)
+        lam_b = link.lam
+        _require_finite_range(theta, float(lam_b.max()), float(y_b.max()))
         t = theta * lam_b
         log1p_t = np.log1p(t)
         ll += _loglik_sum(y_b, link.eta, theta, log1p_t, log_sums[key])

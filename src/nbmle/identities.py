@@ -25,6 +25,7 @@ from .derivatives import finite_diff, finite_diff_second
 from .exceptions import DomainError
 from .special import (
     _require_count,
+    _require_positive,
     digamma,
     ln_gamma,
     sum_recip_shifted,
@@ -105,14 +106,17 @@ class IdentityReport:
 
 
 def _evaluate(identity, grid, point_fn, pair_tols):
-    """Run point_fn over the grid and assemble verdicts from residual maxima."""
-    grid = tuple(tuple(pt) for pt in grid)
+    """Assemble verdicts from the residual maxima of point_fn over the grid
+    (default_grid() when None).  A point is invalid when y is not a count,
+    the scale is not positive and finite, or point_fn raises DomainError."""
+    grid = tuple(tuple(pt) for pt in (default_grid() if grid is None else grid))
     if not grid:
         raise DomainError("grid must be nonempty")
     values, residuals, invalid = [], [], []
     for pt in grid:
         try:
-            vals = point_fn(*pt)
+            y, scale = pt
+            vals = point_fn(_require_count(y), _require_positive(scale, "scale"))
         except DomainError:
             invalid.append(pt)
             continue
@@ -148,11 +152,7 @@ def check_digamma_sum(grid=None, tol: float = TOL_SUM) -> IdentityReport:
 
     Compares Psi(y + alpha) - Psi(alpha) with sum_{j<y} 1/(j + alpha).
     """
-    if grid is None:
-        grid = default_grid()
-
     def point(y, alpha):
-        y = _require_count(y)
         dig = digamma(y + alpha) - digamma(alpha) if y else 0.0
         s = sum_recip_shifted(y, 1.0 / alpha)
         return {"digamma_diff": dig, "finite_sum": s}
@@ -177,13 +177,7 @@ def check_digamma_chain(grid=None, tol: float = 1e-6) -> IdentityReport:
 
     No pair is presumed equal; all three pairwise residuals are reported.
     """
-    if grid is None:
-        grid = default_grid()
-
     def point(y, theta):
-        y = _require_count(y)
-        if theta <= 0:
-            raise DomainError("theta must be > 0")
         u = 1.0 / theta
         if y == 0:
             return {"fd_derivative": 0.0, "digamma_diff": 0.0, "scaled_sum": 0.0}
@@ -213,13 +207,7 @@ def check_trigamma_chain(grid=None, tol: float = 1e-4) -> IdentityReport:
     trigamma_diff   Psi'(y + 1/theta) - Psi'(1/theta), the bare difference;
     weighted_sum    (1/theta^3) sum_{j<y} (2j + 1/theta)/(j + 1/theta)^2.
     """
-    if grid is None:
-        grid = default_grid()
-
     def point(y, theta):
-        y = _require_count(y)
-        if theta <= 0:
-            raise DomainError("theta must be > 0")
         u = 1.0 / theta
         if y == 0:
             return {"fd_second": 0.0, "trigamma_diff": 0.0, "weighted_sum": 0.0}
@@ -252,14 +240,8 @@ def check_trigamma_sum(grid=None, tol: float = TOL_SUM) -> IdentityReport:
     The last two are algebraic rewrites of neg_sq_sum and are held to the
     tighter _ALGEBRA_TOL.
     """
-    if grid is None:
-        grid = default_grid()
-
     def point(y, alpha):
-        y = _require_count(y)
-        theta = 1.0 / alpha if alpha > 0 else -1.0
-        if theta <= 0:
-            raise DomainError("alpha must be > 0")
+        theta = 1.0 / alpha
         tri = trigamma(y + alpha) - trigamma(alpha) if y else 0.0
         neg_sq = -sum_recip_sq_shifted(y, alpha)
         scaled = -theta * theta * math.fsum(

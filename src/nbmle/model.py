@@ -188,21 +188,6 @@ def _row_blocks(n: int) -> list:
     return [slice(s, s + BLOCK_ROWS) for s in range(0, n, BLOCK_ROWS)]
 
 
-def _block_links(X: np.ndarray, beta: np.ndarray):
-    """(the largest mean, the link of a block of _row_blocks by its slice).
-
-    Every block's link is evaluated here first, so an overflow is raised
-    before the caller evaluates anything.  One block keeps its link; more
-    are evaluated again when asked for, so no n-length array is held."""
-    lam_max = 0.0
-    for s in _row_blocks(len(X)):
-        link = link_mean(X[s], beta, s.start)
-        lam_max = max(lam_max, float(link.lam.max()))
-    if len(X) <= BLOCK_ROWS:
-        return lam_max, lambda s: link
-    return lam_max, lambda s: link_mean(X[s], beta)
-
-
 def _loglik_sum(y: np.ndarray, eta: np.ndarray, theta: float,
                 log1p_t: np.ndarray, log_sums: np.ndarray) -> float:
     """The log-likelihood of one block of rows, from the counts as floats,
@@ -217,13 +202,12 @@ def loglik(ds: Dataset, p: Params) -> float:
 
     Summed block by block over _row_blocks, in order."""
     theta = p.theta
-    _, link_of = _block_links(ds.X, p.beta)
     (log_u, log_1), keys = _finite_sum_tables(ds.y, ((1.0 / theta, "log"),
                                                       (1.0, "log")))
     log_sums = log_u - log_1
     ll = 0.0
     for s in _row_blocks(ds.n):
-        link = link_of(s)
+        link = link_mean(ds.X[s], p.beta, s.start)
         ll += _loglik_sum(ds.y[s].astype(float), link.eta, theta,
                           np.log1p(theta * link.lam), log_sums[keys[s]])
     return ll

@@ -14,6 +14,7 @@ import pytest
 import nbmle
 from nbmle import cli
 from nbmle.cli import CliInputError, ingest_csv, main, run_verification
+from nbmle.model import BLOCK_ROWS
 
 
 def run(args):
@@ -349,7 +350,7 @@ class TestSimulate:
 
     def test_stdout_matches_file_across_write_blocks(self, tmp_path, capsys):
         args = ["simulate", "--beta", "0.2,0.1,-0.1", "--theta", 1.5,
-                "--n", cli._WRITE_ROWS + 7, "--seed", 3]
+                "--n", BLOCK_ROWS + 7, "--seed", 3]
         capsys.readouterr()
         assert run(args) == 0
         printed = capsys.readouterr().out
@@ -358,7 +359,7 @@ class TestSimulate:
         assert path.read_text() == printed
         lines = printed.split("\n")
         assert lines[0] == "y,x1,x2" and lines[-1] == ""
-        assert len(lines) == cli._WRITE_ROWS + 9
+        assert len(lines) == BLOCK_ROWS + 9
 
     # Twelve full write blocks and five rows more; the digest was recorded
     # before the blocks were formatted in worker processes, when they were
@@ -369,7 +370,7 @@ class TestSimulate:
         "0541f8a73cf8eb610c9b7ab969d4c36c17414b9249725eb8fad9690a857bacb9")
 
     def test_multi_block_bytes_pinned(self, tmp_path, capsys, monkeypatch):
-        assert 196_613 == 12 * cli._WRITE_ROWS + 5
+        assert 196_613 == 12 * BLOCK_ROWS + 5
         path = tmp_path / "m.csv"
         assert run(self.MULTI_BLOCK + ["--output", path]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() \
@@ -394,8 +395,6 @@ class TestSimulate:
     def test_overflow_names_its_row_of_the_whole_draw(self, capsys):
         """The means are formed block by block; an overflow in a late block
         names its row of the whole draw, as x'beta over all rows did."""
-        from nbmle.model import BLOCK_ROWS
-
         n, seed, slope = 200_000, 4, 166.0
         z = np.random.default_rng(seed).standard_normal((n, 1))[:, 0]
         row = int(np.argmax(np.abs(slope * z) > 700.0))
@@ -422,7 +421,7 @@ class TestSimulate:
         monkeypatch.setattr(multiprocessing, "get_context", Recording)
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(64)), raising=False)
-        simulate_to(tmp_path, n=2 * cli._WRITE_ROWS + 1, seed=1)
+        simulate_to(tmp_path, n=2 * BLOCK_ROWS + 1, seed=1)
         if "fork" in multiprocessing.get_all_start_methods():
             assert sizes == [3]
         assert multiprocessing.active_children() == []
@@ -689,11 +688,19 @@ class TestContract:
         assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
         assert not out.exists()
 
-    def test_grid_without_a_valid_point_exits_1(self, capsys):
+    @pytest.mark.parametrize("grid", ["5:-1", "0:0"])
+    def test_grid_without_a_valid_point_exits_1(self, capsys, grid):
         capsys.readouterr()
-        assert run(["verify", "--grid", "5:-1"]) == 1
+        assert run(["verify", "--grid", grid]) == 1
         err = capsys.readouterr().err
         assert err == "error: no valid grid points to evaluate\n"
+
+    def test_zero_scale_point_is_invalid(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--grid", "1:1,0:0", "--output", out]) == 0
+        for rep in json.loads(out.read_text())["identity_reports"].values():
+            assert rep["grid"] == [[1, 1.0]]
+            assert rep["invalid_points"] == [[0, 0.0]]
 
     def test_missing_subcommand_exits_1(self):
         assert run([]) == 1

@@ -330,10 +330,11 @@ class TestGradHessContainer:
 
 
 class TestSharedLink:
-    """grad_hess and loglik each evaluate the link once per call."""
+    """grad_hess and loglik each evaluate the link once per row block."""
 
     @pytest.fixture
     def link_calls(self, monkeypatch):
+        import nbmle.derivatives
         import nbmle.model
 
         calls = []
@@ -343,6 +344,7 @@ class TestSharedLink:
             return link_mean(*args)
 
         monkeypatch.setattr(nbmle.model, "link_mean", counting)
+        monkeypatch.setattr(nbmle.derivatives, "link_mean", counting)
         return calls
 
     def test_grad_hess_one_link_evaluation(self, rng, link_calls):
@@ -354,6 +356,12 @@ class TestSharedLink:
         ds, p = make_instance(rng)
         loglik(ds, p)
         assert len(link_calls) == 1
+
+    @pytest.mark.parametrize("kernel", [grad_hess, loglik])
+    def test_one_link_evaluation_per_block(self, link_calls, kernel):
+        ds, p = TestBlockedKernel._instance(False)
+        kernel(ds, p)
+        assert len(link_calls) == 4
 
     def test_grad_hess_carries_the_loglik_bit_for_bit(self, rng):
         from nbmle.special import LARGE_COUNT_SWITCH
@@ -435,6 +443,22 @@ class TestBlockedKernel:
             with pytest.raises(LinearPredictorOverflow) as err:
                 kernel(Dataset(y=ds.y, X=X), p)
             assert err.value.row == row
+
+    def test_range_check_names_the_first_block_at_fault(self):
+        """Rows past the range in the second and the last block: the error
+        names the second block's largest mean, before any block warns."""
+        from nbmle.model import BLOCK_ROWS
+
+        ds, p = self._instance(False)
+        X = ds.X.copy()
+        X[BLOCK_ROWS + 3, 1], X[ds.n - 2, 1] = 1380.0, 1390.0
+        second = link_mean(X[BLOCK_ROWS:2 * BLOCK_ROWS], p.beta)
+        lam_max = float(second.lam.max())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=re.escape(
+                    f"(theta*lam)^2 overflows at the largest mean, {lam_max!r}")):
+                grad_hess(Dataset(y=ds.y, X=X), p)
 
     @pytest.mark.parametrize("theta, beta0, words", [
         (1e200, 0.0, "1/theta^2 underflows to zero"),

@@ -22,7 +22,7 @@ from nbmle import (
 )
 from conftest import simulate_dataset
 from nbmle.mixture import sample_counts
-from nbmle.model import BLOCK_ROWS
+from nbmle.model import BLOCK_ROWS, _row_blocks
 
 RECOVERY = dict(seed=42, n=5000, beta=(0.5, -0.3), theta=0.8)
 
@@ -395,6 +395,7 @@ class TestOneEvaluationPerPoint:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        import nbmle.derivatives
         import nbmle.estimator
         import nbmle.fisher
         import nbmle.model
@@ -416,18 +417,22 @@ class TestOneEvaluationPerPoint:
             return loglik(ds, p)
 
         monkeypatch.setattr(nbmle.model, "link_mean", counting_link)
+        monkeypatch.setattr(nbmle.derivatives, "link_mean", counting_link)
         monkeypatch.setattr(nbmle.estimator, "grad_hess", recording_grad_hess)
         monkeypatch.setattr(nbmle.fisher, "grad_hess", recording_grad_hess)
         monkeypatch.setattr(nbmle.estimator, "loglik", counting_loglik,
                             raising=False)
         return calls
 
+    @pytest.mark.parametrize("n", [PROBE["n"], 3 * BLOCK_ROWS + 5])
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_one_evaluation_per_point(self, calls, seed):
-        ds = simulate_dataset(seed, **self.PROBE)
+    def test_one_evaluation_per_point(self, calls, seed, n):
+        """One link evaluation per row block of each point."""
+        ds = simulate_dataset(seed, **dict(self.PROBE, n=n))
         res = fit(ds)
         assert res.converged, res.message
-        assert calls["link_mean"] == res.iterations + 1
+        blocks = len(_row_blocks(n))
+        assert calls["link_mean"] == (res.iterations + 1) * blocks
         assert len(calls["grad_hess"]) == res.iterations + 1
         assert calls["loglik"] == 0
 
