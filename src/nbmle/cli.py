@@ -73,21 +73,19 @@ def ingest_csv(path: str, response_column: str = "y",
     The response column must hold non-negative integers up to MAX_RESPONSE;
     every other column becomes a regressor.  An all-ones intercept column
     is prepended unless no_intercept is set.  Errors carry row/column
-    diagnostics.  The readers write each parsed row straight into y and X.
+    diagnostics.  The body is parsed block by block, by numpy where it can
+    and by the row parser where numpy refuses, straight into y and X.
     """
     lead = 0 if no_intercept else 1
     try:
-        names, y, X = (_read_numeric(path, response_column, lead)
-                       or _read_rows(path, response_column, lead))
+        names, y, X = _read(path, response_column, lead)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError:
         raise CliInputError(f"{path}: line {_first_non_utf8_line(path)} "
                             f"is not UTF-8 text") from None
     if X.shape[1] == 0:
-        raise CliInputError(
-            f"{path}: no regressor columns and intercept disabled"
-        )
+        raise CliInputError(f"{path}: no regressor columns and intercept disabled")
     try:
         ds = Dataset(y=y, X=X, names=tuple(names))
     except DomainError as exc:
@@ -109,129 +107,113 @@ def _first_non_utf8_line(path: str) -> int:
                 return k
 
 
-def _design(header: list, response_column: str, lead: int, rows: int):
-    """(design column names, y, X) for up to rows rows, y and X empty: lead
-    intercept columns, then every column but the response, in file order."""
-    y_col = header.index(response_column)
-    names = ["intercept"] * lead + header[:y_col] + header[y_col + 1:]
-    return names, np.empty(rows, np.int64), np.empty((rows, len(names)))
-
-
-def _put(body: np.ndarray, start: int, y_col: int, lead: int,
-         y: np.ndarray, X: np.ndarray) -> int:
-    """Write the parsed rows of body into y and X from row start on; the
-    row after the last one written."""
-    stop = start + len(body)
-    y[start:stop] = body[:, y_col]
-    X[start:stop, :lead] = 1.0
-    X[start:stop, lead:lead + y_col] = body[:, :y_col]
-    X[start:stop, lead + y_col:] = body[:, y_col + 1:]
-    return stop
-
-
 def _is_response(v):
     """Whether each value of v, an array or a scalar, is a non-negative
     integer up to MAX_RESPONSE."""
     return (v >= 0) & (v <= MAX_RESPONSE) & (v == np.floor(v))
 
 
-def _read_numeric(path: str, response_column: str, lead: int):
-    """(names, y, X) as _design lays them out, parsed by numpy's loadtxt,
-    or None.
+def _read(path: str, response_column: str, lead: int):
+    """(design column names, y, X): lead intercept columns, then every
+    column but the response, in file order.
 
-    None leaves the file to _read_rows, which alone words the errors and
-    alone reads what float() accepts and loadtxt refuses (digit
-    underscores).  Quoted cells are read here, as csv reads them.  A table
-    is returned only when _read_rows would return the same one.  y and X
-    are sized by the line count, and the body is parsed into them
-    _READ_LINES lines at a time, or whole if a quoted cell may span lines.
+    y and X are sized by the line count.  The body is parsed _READ_LINES
+    lines at a time, or whole if a quoted cell may span lines: by
+    _parse_numeric, and by _parse_rows where that returns None or the file
+    holds a byte that numpy alone strips as whitespace.
     """
-    lines, quoted = 1, False
+    lines, quoted, numpy_ok = 1, False, True
     with open(path, "rb") as raw:
         for block in iter(lambda: raw.read(1 << 20), b""):
-            if any(c in block for c in _NUMPY_ONLY_SPACE):
-                return None
+            numpy_ok = numpy_ok and not any(c in block for c in _NUMPY_ONLY_SPACE)
             lines += np.count_nonzero(np.frombuffer(block, np.uint8) == 10)
             if b"\r" in block:  # a lone \r ends a line too, as csv reads it
                 lines += block.count(b"\r") - block.count(b"\r\n")
             quoted = quoted or b'"' in block
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        header = next((row for row in csv.reader(fh) if row), None)
-        if header is None:
-            return None
-        header = [h.strip() for h in header]
-        if response_column not in header:
-            return None
-        names, y, X = _design(header, response_column, lead, lines)
-        y_col, n = header.index(response_column), 0
-        blocks = ([fh] if quoted
-                  else iter(lambda: list(islice(fh, _READ_LINES)), []))
-        try:  # a line that is not UTF-8 raises here too
-            for block in blocks:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    # Any warning refuses the file, but a block of blank
-                    # lines warns only that it holds no data.
-                    warnings.filterwarnings("ignore", ".*input contained no data")
-                    body = np.loadtxt(block, delimiter=",", ndmin=2,
-                                      quotechar='"', comments=None, dtype=float)
-                if not len(body):
-                    continue
-                if body.shape[1] != len(header):
-                    return None
-                if not np.all(_is_response(body[:, y_col])):
-                    return None
-                n = _put(body, n, y_col, lead, y, X)
-        except (ValueError, UserWarning):
-            return None
-    return (names, y[:n], X[:n]) if n else None
-
-
-def _read_rows(path: str, response_column: str, lead: int):
-    """(names, y, X) as _design lays them out, parsed cell by cell with csv
-    and float().
-
-    Raises CliInputError naming the row and column of the first bad cell.
-    """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = (r for r in csv.reader(fh) if r)
-        header = next(rows, None)
+        # Read by readline, so that tell() can mark where the body starts.
+        header = next((r for r in csv.reader(iter(fh.readline, "")) if r), None)
         if header is None:
             raise CliInputError(f"{path}: empty file")
         header = [h.strip() for h in header]
         if response_column not in header:
-            raise CliInputError(
-                f"{path}: response column {response_column!r} not found; "
-                f"columns are {header}"
-            )
+            raise CliInputError(f"{path}: response column {response_column!r} "
+                                f"not found; columns are {header}")
         y_col = header.index(response_column)
-        values = array("d")
-        for r, row in enumerate(rows, start=2):
-            if len(row) != len(header):
-                raise CliInputError(
-                    f"{path}: row {r} has {len(row)} cells, expected {len(header)}"
-                )
-            parsed = []
-            for j, cell in enumerate(row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise CliInputError(
-                        f"{path}: non-numeric cell at row {r}, "
-                        f"column {header[j]!r}: {cell!r}"
-                    ) from None
-            if not _is_response(parsed[y_col]):
-                raise CliInputError(
-                    f"{path}: response must be a non-negative integer; got "
-                    f"{row[y_col]!r} at row {r}, column {response_column!r}"
-                )
-            values.extend(parsed)
-    if not values:
+        names = ["intercept"] * lead + header[:y_col] + header[y_col + 1:]
+        y, X = np.empty(lines, np.int64), np.empty((lines, len(names)))
+        body_start, n = fh.tell(), 0
+        blocks = ([fh] if quoted
+                  else iter(lambda: list(islice(fh, _READ_LINES)), []))
+        for block in blocks:
+            body = _parse_numeric(block, len(header), y_col) if numpy_ok else None
+            if body is None:
+                if block is fh:  # the row parser streams the file again
+                    fh.seek(body_start)
+                body = _parse_rows(path, block, header, y_col, n)
+            stop = n + len(body)
+            y[n:stop] = body[:, y_col]
+            X[n:stop, :lead] = 1.0
+            X[n:stop, lead:lead + y_col] = body[:, :y_col]
+            X[n:stop, lead + y_col:] = body[:, y_col + 1:]
+            n = stop
+    if not n:
         raise CliInputError(f"{path}: no data rows")
-    body = np.frombuffer(values).reshape(-1, len(header))
-    names, y, X = _design(header, response_column, lead, len(body))
-    _put(body, 0, y_col, lead, y, X)
-    return names, y, X
+    return names, y[:n], X[:n]
+
+
+def _parse_numeric(block, width: int, y_col: int):
+    """The rows of block, an open file or a list of lines, parsed by
+    numpy's loadtxt into a rows x width array, or None.
+
+    None leaves the block to _parse_rows, which alone words the errors and
+    alone reads what float() accepts and loadtxt refuses (digit
+    underscores).  Quoted cells are read here, as csv reads them.  An array
+    is returned only when _parse_rows would return the same one.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # Any warning refuses the block, but a block of blank lines
+            # warns only that it holds no data.
+            warnings.filterwarnings("ignore", ".*input contained no data")
+            body = np.loadtxt(block, delimiter=",", ndmin=2, quotechar='"',
+                              comments=None, dtype=float)
+    except (ValueError, UserWarning):  # a line that is not UTF-8 too
+        return None
+    if len(body) and (body.shape[1] != width
+                      or not np.all(_is_response(body[:, y_col]))):
+        return None
+    return body.reshape(-1, width)
+
+
+def _parse_rows(path: str, lines, header: list, y_col: int, first_row: int):
+    """The rows of lines parsed cell by cell with csv and float(), as a
+    rows x len(header) array.
+
+    Raises CliInputError naming the row, counted on from the first_row rows
+    before lines, and the column of the first bad cell.
+    """
+    values = array("d")
+    rows = (r for r in csv.reader(lines) if r)
+    for r, row in enumerate(rows, start=first_row + 2):
+        if len(row) != len(header):
+            raise CliInputError(f"{path}: row {r} has {len(row)} cells, "
+                                f"expected {len(header)}")
+        parsed = []
+        for j, cell in enumerate(row):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise CliInputError(f"{path}: non-numeric cell at row {r}, "
+                                    f"column {header[j]!r}: {cell!r}") from None
+        if not _is_response(parsed[y_col]):
+            raise CliInputError(
+                f"{path}: response must be a non-negative integer; got "
+                f"{row[y_col]!r} at row {r}, column {header[y_col]!r}"
+            )
+        values.extend(parsed)
+    return np.frombuffer(values).reshape(-1, len(header))
 
 
 @contextlib.contextmanager

@@ -163,8 +163,8 @@ def finite_diff(f: Callable[[float], float], x0: float, h: float) -> float:
 
 def finite_diff_second(f: Callable[[float], float], x0: float, h: float) -> float:
     """Second derivative by the five-point central stencil (O(h^4) accurate)."""
-    if not h > 0.0:
-        raise DomainError("h must be positive")
+    if not (h > 0.0 and 12.0 * h * h > 0.0):
+        raise DomainError(f"h={h!r}: 12*h*h must be a positive double")
     vals = [f(x0 + k * h) for k in (-2, -1, 0, 1, 2)]
     if not all(math.isfinite(v) for v in vals):
         raise DomainError(f"f not finite near x0={x0!r}")

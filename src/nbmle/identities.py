@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from .derivatives import finite_diff, finite_diff_second
 from .exceptions import DomainError
 from .special import (
+    LARGE_COUNT_SWITCH,
     _require_count,
     _require_positive,
     digamma,
@@ -237,10 +238,12 @@ def check_trigamma_sum(grid=None, tol: float = TOL_SUM) -> IdentityReport:
     theta_scaled_form   -theta^2 sum_{j<y} 1/(theta j + 1)^2 at theta = 1/alpha
     reciprocal_form     -sum_{j<y} 1/(j + 1/theta)^2 at theta = 1/alpha
 
-    The last two are algebraic rewrites of neg_sq_sum and are held to the
-    tighter _ALGEBRA_TOL.
+    The last two are algebraic rewrites of neg_sq_sum, held to the tighter
+    _ALGEBRA_TOL; they sum y terms, so y past LARGE_COUNT_SWITCH is invalid.
     """
     def point(y, alpha):
+        if y > LARGE_COUNT_SWITCH:
+            raise DomainError(f"y={y} is past LARGE_COUNT_SWITCH")
         theta = 1.0 / alpha
         tri = trigamma(y + alpha) - trigamma(alpha) if y else 0.0
         neg_sq = -sum_recip_sq_shifted(y, alpha)

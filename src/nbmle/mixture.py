@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .exceptions import DomainError, QuadratureConvergenceError
-from .model import _pmf_table
+from .model import DEFAULT_EPS_TAIL, _pmf_table
 from .special import _require_count, _require_positive, ln_gamma
 
 
@@ -107,7 +107,7 @@ def mixture_pmf(y: int, lam: float, alpha: float) -> float:
 
 
 def nb_mean_bruteforce(lam: float, alpha: float,
-                       eps_tail: float = 1e-12) -> float:
+                       eps_tail: float = DEFAULT_EPS_TAIL) -> float:
     """Truncated sum_y y * pmf(y); must equal lam."""
     lam = _require_positive(lam, "lam")
     alpha = _require_positive(alpha, "alpha")

@@ -115,22 +115,47 @@ class TestIngest:
             ingest_csv(str(path))
 
 
+class RowParserRan(Exception):
+    """The row parser was called on a read meant to be numpy's alone."""
+
+
 class TestIngestFastPath:
     """numpy's reader returns what the row parser returns, or defers to it."""
+
+    @staticmethod
+    def by_numpy(monkeypatch, read, *args, **kwargs):
+        """read(*args, **kwargs) with every block parsed by numpy, or None
+        if a block reaches the row parser."""
+        def ran(*_):
+            raise RowParserRan
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse_rows", ran)
+            try:
+                return read(*args, **kwargs)
+            except RowParserRan:
+                return None
+
+    @staticmethod
+    def by_rows(monkeypatch, read, *args, **kwargs):
+        """read(*args, **kwargs) with every block parsed by the row parser."""
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse_numeric", lambda *_: None)
+            return read(*args, **kwargs)
 
     def check(self, path, monkeypatch, response="y", **kwargs):
         """ingest_csv through numpy's reader, in blocks of the current size
         and of two lines, and through the row parser alone give
         bit-identical Datasets."""
-        assert cli._read_numeric(str(path), response, 1) is not None
-        fast = ingest_csv(str(path), response, **kwargs)
+        fast = self.by_numpy(monkeypatch, ingest_csv, str(path), response,
+                             **kwargs)
+        assert fast is not None
         with monkeypatch.context() as m:
             m.setattr(cli, "_READ_LINES", 2)
-            assert cli._read_numeric(str(path), response, 1) is not None
-            small = ingest_csv(str(path), response, **kwargs)
-        with monkeypatch.context() as m:
-            m.setattr(cli, "_read_numeric", lambda *args: None)
-            rows = ingest_csv(str(path), response, **kwargs)
+            small = self.by_numpy(monkeypatch, ingest_csv, str(path),
+                                  response, **kwargs)
+            assert small is not None
+        rows = self.by_rows(monkeypatch, ingest_csv, str(path), response,
+                            **kwargs)
         for ds in (fast, small):
             assert ds.names == rows.names
             assert ds.y.dtype == rows.y.dtype == np.int64
@@ -187,19 +212,21 @@ class TestIngestFastPath:
         ds = self.check(path, monkeypatch, no_intercept=True)
         assert ds.names == ("x1", "x2")
 
-    def test_underscored_cells_use_the_row_parser(self, tmp_path):
+    def test_underscored_cells_use_the_row_parser(self, tmp_path, monkeypatch):
         path = tmp_path / "d.csv"
         path.write_text("y,x1\n1_0,0.5\n2,-1_000.0\n1,0.25\n")
-        assert cli._read_numeric(str(path), "y", 1) is None
+        assert self.by_numpy(monkeypatch, cli._read, str(path), "y", 1) is None
         ds = ingest_csv(str(path))
         assert ds.n == 3
         assert ds.y[1] == 2
 
-    def test_quoted_cells_read_by_numpy_as_by_the_row_parser(self, tmp_path):
+    def test_quoted_cells_read_by_numpy_as_by_the_row_parser(self, tmp_path,
+                                                             monkeypatch):
         path = tmp_path / "d.csv"
         path.write_text('y,x1\n"0",0.5\n2,"-1.0"\n1,0.25\n')
-        self.same_tables(cli._read_numeric(str(path), "y", 1),
-                         cli._read_rows(str(path), "y", 1))
+        self.same_tables(
+            self.by_numpy(monkeypatch, cli._read, str(path), "y", 1),
+            self.by_rows(monkeypatch, cli._read, str(path), "y", 1))
         ds = ingest_csv(str(path))
         assert ds.n == 3
         assert ds.y[1] == 2
@@ -210,15 +237,15 @@ class TestIngestFastPath:
         '"\n1"', '"1\n\n"', '" 1 "', '"1e3"', '"-0.5"', '"nan"', '"0x1"',
         '"1_0"', "'1'", '1"', '"1', '"',
     ])
-    def test_quoted_cell_parity(self, tmp_path, column, cell):
+    def test_quoted_cell_parity(self, tmp_path, monkeypatch, column, cell):
         """numpy's reader takes a quoted cell only where csv and float() do,
         with the same value, and otherwise defers to the row parser."""
         path = tmp_path / "d.csv"
         row = f"{cell},0.5" if column == "y" else f"2,{cell}"
         path.write_text(f"y,x1\n{row}\n1,0.25\n")
-        fast = cli._read_numeric(str(path), "y", 1)
+        fast = self.by_numpy(monkeypatch, cli._read, str(path), "y", 1)
         try:
-            ref = cli._read_rows(str(path), "y", 1)
+            ref = self.by_rows(monkeypatch, cli._read, str(path), "y", 1)
         except CliInputError:
             assert fast is None
             return
@@ -233,10 +260,10 @@ class TestIngestFastPath:
         assert str(err.value).endswith(
             "non-numeric cell at row 3, column 'x1': '2 # note'")
 
-    def test_cell_numpy_strips_but_float_refuses(self, tmp_path):
+    def test_cell_numpy_strips_but_float_refuses(self, tmp_path, monkeypatch):
         path = tmp_path / "d.csv"
         path.write_text("y,x1\n0,0.5\n1,\x1c2\n")
-        assert cli._read_numeric(str(path), "y", 1) is None
+        assert self.by_numpy(monkeypatch, cli._read, str(path), "y", 1) is None
         with pytest.raises(CliInputError) as err:
             ingest_csv(str(path))
         assert "non-numeric cell at row 3, column 'x1'" in str(err.value)
@@ -287,7 +314,7 @@ class TestIngestFastPath:
         # Blank lines ahead of the bad row: rows, not lines, are counted.
         path.write_text("\n\n".join(lines[:9]) + "\n" + "\n".join(lines[9:]))
         monkeypatch.setattr(cli, "_READ_LINES", 4)
-        assert cli._read_numeric(str(path), "y", 1) is None
+        assert self.by_numpy(monkeypatch, cli._read, str(path), "y", 1) is None
         with pytest.raises(CliInputError) as err:
             ingest_csv(str(path))
         assert str(err.value) == f"{path}: {words}"
@@ -300,7 +327,7 @@ class TestIngestFastPath:
         path = tmp_path / "d.csv"
         path.write_text("\n".join(lines) + "\n")
         monkeypatch.setattr(cli, "_READ_LINES", 4)
-        assert cli._read_numeric(str(path), "y", 1) is None
+        assert self.by_numpy(monkeypatch, cli._read, str(path), "y", 1) is None
         with pytest.raises(CliInputError) as err:
             ingest_csv(str(path))
         assert str(err.value) == f"{path}: row 26 has 1 cells, expected 2"
@@ -313,6 +340,48 @@ class TestIngestFastPath:
         monkeypatch.setattr(cli, "_READ_LINES", 2)
         ds = self.check(path, monkeypatch)
         np.testing.assert_array_equal(ds.y, [k % 4 for k in range(30)])
+
+    def same_as_rows(self, path, monkeypatch):
+        """ingest_csv and the row parser alone give bit-identical Datasets;
+        the blocks that reached the row parser, as (first row, rows)."""
+        calls = []
+        parse_rows = cli._parse_rows
+
+        def counted(path, lines, header, y_col, first_row):
+            body = parse_rows(path, lines, header, y_col, first_row)
+            calls.append((first_row, len(body)))
+            return body
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse_rows", counted)
+            ds = ingest_csv(str(path))
+        rows = self.by_rows(monkeypatch, ingest_csv, str(path))
+        self.same_tables((ds.names, ds.y, ds.X), (rows.names, rows.y, rows.X))
+        return ds, calls
+
+    def test_only_the_refused_block_goes_to_the_row_parser(self, tmp_path,
+                                                           monkeypatch):
+        lines = ["y,x1"] + [f"{k % 5},{k / 4}" for k in range(30)]
+        lines[14] = "3,1_3.25"
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(cli, "_READ_LINES", 4)
+        ds, calls = self.same_as_rows(path, monkeypatch)
+        # Rows 12-15 are the fourth block of four lines.
+        assert calls == [(12, 4)]
+        assert ds.n == 30 and ds.X[13, 1] == 13.25
+
+    def test_refused_quoted_file_is_parsed_again_from_the_header(
+            self, tmp_path, monkeypatch):
+        lines = ["y,x1"] + [f'"{k % 4}",{k / 8}' for k in range(30)]
+        lines[25] = '1,"2_0.5"'
+        path = tmp_path / "d.csv"
+        path.write_text("\n\n".join(lines) + "\n")
+        monkeypatch.setattr(cli, "_READ_LINES", 2)
+        assert self.by_numpy(monkeypatch, cli._read, str(path), "y", 1) is None
+        ds, calls = self.same_as_rows(path, monkeypatch)
+        assert calls == [(0, 30)]
+        assert ds.n == 30 and ds.X[24, 1] == 20.5
 
 
 class TestResponseBounds:
@@ -582,6 +651,41 @@ class TestVerify:
     def test_bad_grid_is_usage_error(self, tmp_path):
         assert run(["verify", "--grid", "nope"]) == 1
 
+    def test_grid_point_with_underflowing_step_is_invalid(self, tmp_path,
+                                                          capsys):
+        """At theta = 1e-300 the second-difference step squared underflows:
+        the point is invalid, not a ZeroDivisionError."""
+        assert run(["verify", "--grid", "50:1e-300"]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: no valid grid points to evaluate")
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--grid", "50:1e-300,5:1", "--output", out]) == 3
+        reports = json.loads(out.read_text())["identity_reports"]
+        assert reports["trigamma_chain"]["invalid_points"] == [[50, 1e-300]]
+        assert reports["trigamma_chain"]["grid"] == [[5, 1.0]]
+
+    def test_count_past_the_summing_range_is_invalid(self):
+        """check_trigamma_sum's rewrites sum y terms; at y = 1e9 the point
+        is invalid at once rather than a run of 1e9 Python steps."""
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(nbmle.__file__)))
+
+        def verify(grid):
+            return subprocess.run(
+                [sys.executable, "-m", "nbmle.cli", "verify", "--grid", grid],
+                env=env, capture_output=True, text=True, timeout=60)
+
+        alone = verify("1000000000:1")
+        assert alone.returncode == 1
+        assert alone.stderr.splitlines()[-1] == (
+            "error: no valid grid points to evaluate")
+        mixed = verify("1000000000:1,5:1")
+        assert mixed.returncode == 3
+        reports = json.loads(mixed.stdout)["identity_reports"]
+        assert {name: r["invalid_points"] for name, r in reports.items()} == {
+            "digamma_sum": [], "digamma_chain": [], "trigamma_chain": [],
+            "trigamma_sum": [[1000000000, 1.0]]}
+
 
 class TestInfo:
     def test_observed_symmetric(self, tmp_path):
@@ -742,10 +846,23 @@ class TestMemory:
 
     BIG = dict(beta="0.0,0.3,-0.2,0.25", theta=0.5, n=200_000, seed=1)
 
-    def test_ingest_holds_y_x_and_block_scratch(self, tmp_path):
+    @pytest.mark.parametrize("copy", ["clean", "underscore", "quoted"])
+    def test_ingest_holds_y_x_and_block_scratch(self, tmp_path, copy):
+        """A cell in the last block that only the row parser reads costs one
+        block of scratch.  A quoted file is parsed whole, into one n x 4
+        body that loadtxt grows in steps, to about 1.16 times its size."""
+        import re
         import tracemalloc
 
         path = simulate_to(tmp_path, **self.BIG)
+        lines = path.read_text().splitlines(keepends=True)
+        if copy == "underscore":  # .1234 becomes .1_234, the same value
+            lines[-2] = re.sub(r"\.(\d)(\d)", r".\1_\2", lines[-2], count=1)
+        elif copy == "quoted":
+            lines = ['"' + ln[:-1].replace(",", '","') + '"\n' for ln in lines]
+        path.write_text("".join(lines))
+        del lines
+        body = 1.25 * 8 * 200_000 * 4 if copy == "quoted" else 0
         tracemalloc.start()
         try:
             ds = ingest_csv(str(path))
@@ -753,7 +870,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert ds.X.shape == (200_000, 4)
-        assert peak < ds.X.nbytes + ds.y.nbytes + 2e6
+        assert peak < ds.X.nbytes + ds.y.nbytes + body + 2e6
 
     def test_simulate_draw_holds_no_design(self, monkeypatch):
         import tracemalloc

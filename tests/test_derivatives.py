@@ -312,6 +312,13 @@ class TestFiniteDiff:
         with pytest.raises(DomainError):
             finite_diff(lambda x: math.inf, 0.0, 1e-5)
 
+    def test_second_derivative_step_whose_square_underflows(self):
+        from nbmle import DomainError
+
+        # 12*h*h underflows to 0 in the stencil's divisor.
+        with pytest.raises(DomainError, match=r"h=1e-300"):
+            finite_diff_second(lambda x: x**3, 2.0, 1e-300)
+
     def test_matches_loglik_usage(self, rng):
         ds, p = make_instance(rng)
         fd = finite_diff(
