@@ -94,18 +94,6 @@ class InfoMatrix:
             raise DomainError("information matrix must be symmetric")
         object.__setattr__(self, "m", 0.5 * (m + m.T))
 
-    @property
-    def beta_block(self) -> np.ndarray:
-        return self.m[:-1, :-1]
-
-    @property
-    def cross_block(self) -> np.ndarray:
-        return self.m[:-1, -1]
-
-    @property
-    def theta_element(self) -> float:
-        return float(self.m[-1, -1])
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind.value,

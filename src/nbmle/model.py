@@ -130,11 +130,6 @@ class Params:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "theta", theta)
 
-    @property
-    def alpha(self) -> float:
-        """Gamma shape parameter, the reciprocal of the dispersion."""
-        return 1.0 / self.theta
-
 
 @dataclass(frozen=True)
 class LinkValues:

@@ -612,17 +612,23 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["all_expected_hold"] is True
-        flagged = {
-            (e["check"], e["pair"]): e
-            for e in payload["entries"]
-            if e["expected"] == "FAILS"
+        # Every entry carries an expectation and meets it.
+        entries = payload["entries"]
+        assert len(entries) == 21
+        for e in entries:
+            assert e["expected"] in ("HOLDS", "FAILS"), e
+            assert e["verdict"] == e["expected"], e
+        # The expected failures are the gamma-difference routes that miss
+        # the reparameterisation factors, and the survivor-at-j tail
+        # convention; everything else holds.
+        assert {(e["check"], e["pair"]) for e in entries
+                if e["expected"] == "FAILS"} == {
+            ("digamma_chain", "fd_derivative_vs_digamma_diff"),
+            ("digamma_chain", "digamma_diff_vs_scaled_sum"),
+            ("trigamma_chain", "fd_second_vs_trigamma_diff"),
+            ("trigamma_chain", "trigamma_diff_vs_weighted_sum"),
+            ("tail_interchange_survivor_j", "survivor_at_j_vs_double_sum"),
         }
-        # The chain members that drop the reparameterisation factors are
-        # flagged, as designed.
-        assert flagged[("digamma_chain", "digamma_diff_vs_scaled_sum")]["verdict"] \
-            == "FAILS"
-        assert flagged[("trigamma_chain", "trigamma_diff_vs_weighted_sum")]["verdict"] \
-            == "FAILS"
 
     def test_tightened_tolerance_exits_3_but_writes_report(self, tmp_path):
         out = tmp_path / "verify.json"
@@ -663,6 +669,17 @@ class TestVerify:
         reports = json.loads(out.read_text())["identity_reports"]
         assert reports["trigamma_chain"]["invalid_points"] == [[50, 1e-300]]
         assert reports["trigamma_chain"]["grid"] == [[5, 1.0]]
+
+    def test_grid_point_past_ln_gamma_range_is_invalid(self, tmp_path):
+        """At theta = 1e-306, ln Gamma(1/theta) is past the double range, so
+        the two chain checks that difference it mark the point invalid, as
+        trigamma_sum does for trigamma(1e-306), and the run passes."""
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--grid", "5:1e-306,5:1", "--output", out]) == 0
+        reports = json.loads(out.read_text())["identity_reports"]
+        for check in ("digamma_chain", "trigamma_chain", "trigamma_sum"):
+            assert reports[check]["invalid_points"] == [[5, 1e-306]]
+            assert reports[check]["grid"] == [[5, 1.0]]
 
     def test_count_past_the_summing_range_is_invalid(self):
         """check_trigamma_sum's rewrites sum y terms; at y = 1e9 the point
@@ -736,6 +753,20 @@ class TestInfo:
         assert code == 1
         assert capsys.readouterr().err.splitlines()[-1] == (
             "error: trigamma(1e-200) overflows: 1/x^2 is not a finite double")
+
+    def test_theta_past_ln_gamma_range_is_input_error(self, tmp_path, capsys):
+        # Past LARGE_COUNT_SWITCH the log sums take ln_gamma(y + 1/theta),
+        # which at 1/theta = 1e307 is past the double range: inf, and the
+        # range check that follows names theta.
+        path = tmp_path / "big.csv"
+        path.write_text("y,x1\n1000017,0.1\n3,0.2\n0,-0.3\n5,0.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["info", "--input", path, "--beta", "1,0.3",
+                        "--theta", "1e-307", "--info", "observed"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: theta=1e-307 is out of range: 1/theta^3 overflows")
 
 
     @pytest.mark.parametrize("theta, why", [

@@ -487,7 +487,7 @@ class TestOptionsAndResult:
         res = fit(ds, FitOptions(info_kind=InfoKind.EXPECTED))
         assert res.info.kind is InfoKind.EXPECTED
         assert res.info.truncation is not None
-        np.testing.assert_array_equal(res.info.cross_block, 0.0)
+        np.testing.assert_array_equal(res.info.m[:-1, -1], 0.0)
 
     def test_nonconvergence_reported_not_raised(self):
         ds = simulate_dataset(5, 2000, [0.4, -0.1], 1.2)

@@ -202,7 +202,7 @@ class TestExpectedInfoCross:
 
     def test_analytic_zero(self):
         ds, p = one_obs_dataset(2.0, 1.0)
-        np.testing.assert_array_equal(expected_info(ds, p).cross_block, 0.0)
+        np.testing.assert_array_equal(expected_info(ds, p).m[:-1, -1], 0.0)
         assert np.abs(self._per_row_cross(ds, p)).max() < 1e-8
 
     def test_skewed_design_still_zero(self, rng):
@@ -211,7 +211,7 @@ class TestExpectedInfoCross:
                        rng.uniform(-2.0, 0.0, (6, 1))])
         ds = Dataset(y=np.arange(6), X=X)
         p = Params(np.array([0.4, 0.3, -0.2]), 0.7)
-        np.testing.assert_array_equal(expected_info(ds, p).cross_block, 0.0)
+        np.testing.assert_array_equal(expected_info(ds, p).m[:-1, -1], 0.0)
         assert np.abs(self._per_row_cross(ds, p)).max() < 1e-8
 
 
@@ -304,7 +304,7 @@ class TestExpectedMatrixAssembly:
         ds, p = one_obs_dataset(1.0, 1.0)
         info = expected_info(ds, p)
         assert info.kind is InfoKind.EXPECTED
-        np.testing.assert_array_equal(info.cross_block, 0.0)
+        np.testing.assert_array_equal(info.m[:-1, -1], 0.0)
         assert info.truncation is not None
 
     def test_observed_vs_expected_law_of_large_numbers(self):
@@ -312,6 +312,6 @@ class TestExpectedMatrixAssembly:
         # converges to the expected one.
         ds = simulate_dataset(99, 10_000, [0.6], 0.8)
         p = Params(np.array([0.6]), 0.8)
-        obs = observed_info(ds, p).theta_element
+        obs = observed_info(ds, p).m[-1, -1]
         exp_el, _ = expected_info_theta(ds, p)
         assert abs(obs - exp_el) / abs(exp_el) < 0.05

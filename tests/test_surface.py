@@ -1,4 +1,5 @@
-"""The package exports no function that only the tests call.
+"""The package exports no function that only the tests call, and stays
+within its line budget.
 
 A function exported from nbmle/__init__.py must be loaded by some other
 module of the package (a name read in code, or imported), so that a
@@ -15,6 +16,9 @@ from pathlib import Path
 import nbmle
 
 LIBRARY_ENTRY_POINTS = {"loglik"}
+
+# Lines of src/nbmle/*.py (ROADMAP item 6).
+LINE_BUDGET = 2700
 
 
 def _loaded_names(package: Path) -> set:
@@ -41,3 +45,10 @@ def test_every_exported_function_is_reached_from_the_package():
                        if n not in loaded and n not in LIBRARY_ENTRY_POINTS)
     assert not unreached, f"exported but reached by no package module: {unreached}"
     assert LIBRARY_ENTRY_POINTS <= set(functions)
+
+
+def test_src_stays_within_the_line_budget():
+    package = Path(nbmle.__file__).parent
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in package.glob("*.py"))
+    assert lines <= LINE_BUDGET, f"src/nbmle/*.py has {lines} lines"
