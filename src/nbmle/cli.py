@@ -39,6 +39,7 @@ from .fisher import InfoKind, expected_info, observed_info
 from .mixture import sample_counts
 from .model import DEFAULT_EPS_TAIL, Dataset, Params, _row_blocks, link_mean
 from .verification import SCHEMA_VERSION, run_verification
+from .workers import Workers, shared_empty, usable_cpus
 
 
 class CliInputError(Exception):
@@ -67,18 +68,21 @@ _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def ingest_csv(path: str, response_column: str = "y",
-               no_intercept: bool = False) -> Dataset:
+               no_intercept: bool = False, workers: Workers | None = None
+               ) -> Dataset:
     """Load a header-row CSV into a Dataset.
 
     The response column must hold non-negative integers up to MAX_RESPONSE;
     every other column becomes a regressor.  An all-ones intercept column
     is prepended unless no_intercept is set.  Errors carry row/column
     diagnostics.  The body is parsed block by block, by numpy where it can
-    and by the row parser where numpy refuses, straight into y and X.
+    and by the row parser where numpy refuses, straight into y and X, in
+    workers, which the Dataset keeps for its later passes, or in workers
+    of its own.
     """
     lead = 0 if no_intercept else 1
     try:
-        names, y, X = _read(path, response_column, lead)
+        names, y, X = _read(path, response_column, lead, workers)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError:
@@ -87,7 +91,7 @@ def ingest_csv(path: str, response_column: str = "y",
     if X.shape[1] == 0:
         raise CliInputError(f"{path}: no regressor columns and intercept disabled")
     try:
-        ds = Dataset(y=y, X=X, names=tuple(names))
+        ds = Dataset(y=y, X=X, names=tuple(names), workers=workers)
     except DomainError as exc:
         raise CliInputError(f"{path}: {exc}") from exc
     print(f"loaded {ds.n} rows, {ds.p} design columns from {path}",
@@ -113,57 +117,129 @@ def _is_response(v):
     return (v >= 0) & (v <= MAX_RESPONSE) & (v == np.floor(v))
 
 
-def _read(path: str, response_column: str, lead: int):
+def _read(path: str, response_column: str, lead: int,
+          workers: Workers | None = None):
     """(design column names, y, X): lead intercept columns, then every
     column but the response, in file order.
 
-    y and X are sized by the line count.  The body is parsed _READ_LINES
-    lines at a time, or whole if a quoted cell may span lines: by
-    _parse_numeric, and by _parse_rows where that returns None or the file
-    holds a byte that numpy alone strips as whitespace.
+    y and X are sized by _scan's line count, shared when the body spans two
+    or more row blocks, and workers (without it, ones of its own, closed on
+    return) forked with them.  Each worker's range of the body is parsed
+    into its own rows, which then close up over the rows of blank lines.  A
+    failed range is parsed again here, for its rows' numbers in the error.
     """
-    lines, quoted, numpy_ok = 1, False, True
-    with open(path, "rb") as raw:
-        for block in iter(lambda: raw.read(1 << 20), b""):
-            numpy_ok = numpy_ok and not any(c in block for c in _NUMPY_ONLY_SPACE)
-            lines += np.count_nonzero(np.frombuffer(block, np.uint8) == 10)
-            if b"\r" in block:  # a lone \r ends a line too, as csv reads it
-                lines += block.count(b"\r") - block.count(b"\r\n")
-            quoted = quoted or b'"' in block
+    if workers is None:
+        with Workers() as workers:
+            return _read(path, response_column, lead, workers)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         # Read by readline, so that tell() can mark where the body starts.
         header = next((r for r in csv.reader(iter(fh.readline, "")) if r), None)
         if header is None:
             raise CliInputError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        if response_column not in header:
-            raise CliInputError(f"{path}: response column {response_column!r} "
-                                f"not found; columns are {header}")
-        y_col = header.index(response_column)
-        names = ["intercept"] * lead + header[:y_col] + header[y_col + 1:]
-        y, X = np.empty(lines, np.int64), np.empty((lines, len(names)))
-        body_start, n = fh.tell(), 0
-        blocks = ([fh] if quoted
-                  else iter(lambda: list(islice(fh, _READ_LINES)), []))
-        for block in blocks:
-            body = _parse_numeric(block, len(header), y_col) if numpy_ok else None
-            if body is None:
-                if block is fh:  # the row parser streams the file again
-                    fh.seek(body_start)
-                body = _parse_rows(path, block, header, y_col, n)
-            stop = n + len(body)
-            y[n:stop] = body[:, y_col]
-            X[n:stop, :lead] = 1.0
-            X[n:stop, lead:lead + y_col] = body[:, :y_col]
-            X[n:stop, lead + y_col:] = body[:, y_col + 1:]
-            n = stop
+        body_start = fh.tell()
+    header = [h.strip() for h in header]
+    if response_column not in header:
+        raise CliInputError(f"{path}: response column {response_column!r} "
+                            f"not found; columns are {header}")
+    y_col = header.index(response_column)
+    names = ["intercept"] * lead + header[:y_col] + header[y_col + 1:]
+    cpus = usable_cpus()
+    with open(path, "rb") as raw:
+        size = os.fstat(raw.fileno()).st_size
+        raw.seek(body_start)
+        lines, quoted, numpy_ok, cuts = _scan(raw, [
+            body_start + k * (size - body_start) // cpus for k in range(1, cpus)])
+    count = max(1, min(cpus, len(_row_blocks(lines))))
+    marks = [(body_start, 0)] + cuts[cpus // count - 1::cpus // count][:count - 1]
+    ranges = [(start, slot, stop) for (start, slot), (_, stop)
+              in zip(marks, marks[1:] + [(None, None)])]
+    empty = shared_empty if count >= 2 else np.empty
+    y, X = empty(lines, np.int64), empty((lines, len(names)), float)
+    workers.fork((y, X), count)
+    body = (path, header, y_col, lead, numpy_ok, quoted)
+    counts = []
+    parsed = workers.map(_parse_range, ranges, body)
+    for rng in ranges:
+        try:
+            counts.append(next(parsed))
+        except CliInputError:
+            _parse_range((y, X), rng, body, sum(counts))
+            raise
+    n = 0
+    for (_, slot, _), rows in zip(ranges, counts):
+        if slot != n:  # else numpy would copy the overlapping rows
+            y[n:n + rows], X[n:n + rows] = y[slot:slot + rows], X[slot:slot + rows]
+        n += rows
     if not n:
         raise CliInputError(f"{path}: no data rows")
     return names, y[:n], X[:n]
 
 
+def _scan(raw, targets: list):
+    """(lines, whether a quote occurs, whether numpy may parse it, cuts) of
+    raw, a binary file, from its position on.  cuts[k] is (byte, lines
+    before it) just past the first \\n at or past byte targets[k] after which
+    the quotes are even in number, as only a quoted cell spans lines; there
+    are none if a lone \\r ends a line.
+    """
+    lines, lone_cr, quotes, numpy_ok, pos, cuts = 0, 0, 0, True, raw.tell(), []
+    block = b""  # each ends at a \\n, so that none splits a \\r\\n
+    for block in iter(lambda: raw.read(1 << 20) + raw.readline(1 << 20), b""):
+        numpy_ok = numpy_ok and not any(c in block for c in _NUMPY_ONLY_SPACE)
+        lone_cr += block.count(b"\r") - block.count(b"\r\n") if b"\r" in block else 0
+        buf = np.frombuffer(block, np.uint8)
+        nl = buf == 10
+        quote = buf == 34 if quotes or b'"' in block else None
+        if len(cuts) < len(targets) and targets[len(cuts)] < pos + len(block):
+            ends = np.flatnonzero(nl)
+            if quote is not None:  # the parity, summed in 1 byte a count
+                ends = ends[np.cumsum(quote, dtype=np.uint8)[ends] % 2
+                            == quotes % 2]
+            for k in np.searchsorted(ends, np.array(targets[len(cuts):]) - pos):
+                if k < len(ends):
+                    stop = int(ends[k]) + 1
+                    cuts.append((pos + stop, lines + int(np.count_nonzero(nl[:stop]))))
+        lines += int(np.count_nonzero(nl))
+        quotes += 0 if quote is None else int(np.count_nonzero(quote))
+        pos += len(block)
+        del nl, quote  # so the next masks reuse, not fault in, the memory
+    lines += lone_cr + (block[-1:] not in b"\r\n")  # the last line, unended
+    return lines, quotes > 0, numpy_ok, [] if lone_cr else cuts
+
+
+def _parse_range(state, rng, body, first_row: int = 0) -> int:
+    """Parse the lines of rng = (byte, slot, the next range's slot or None)
+    into the rows of (y, X) = state from the slot on; the row count.
+
+    body is (path, header, y_col, lead, numpy_ok, quoted).  Blocks of
+    _READ_LINES lines, each going on until its quotes are even in number,
+    are parsed by _parse_numeric if numpy_ok, and by _parse_rows, rows
+    numbered on from first_row, where that returns None.
+    """
+    (y, X), (start, slot, stop) = state, rng
+    path, header, y_col, lead, numpy_ok, quoted = body
+    n = slot
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        fh.seek(start)
+        text = islice(fh, None if stop is None else stop - slot)
+        while block := list(islice(text, _READ_LINES)):
+            odd = quoted and "".join(block).count('"') % 2
+            while odd and (line := next(text, None)) is not None:
+                block.append(line)
+                odd ^= line.count('"') % 2
+            rows = _parse_numeric(block, len(header), y_col) if numpy_ok else None
+            if rows is None:
+                rows = _parse_rows(path, block, header, y_col, first_row + n - slot)
+            y[n:n + len(rows)] = rows[:, y_col]
+            X[n:n + len(rows), :lead] = 1.0
+            X[n:n + len(rows), lead:lead + y_col] = rows[:, :y_col]
+            X[n:n + len(rows), lead + y_col:] = rows[:, y_col + 1:]
+            n += len(rows)
+    return n - slot
+
+
 def _parse_numeric(block, width: int, y_col: int):
-    """The rows of block, an open file or a list of lines, parsed by
+    """The rows of block, a list of lines, parsed by
     numpy's loadtxt into a rows x width array, or None.
 
     None leaves the block to _parse_rows, which alone words the errors and
@@ -225,13 +301,16 @@ def _output(args: argparse.Namespace):
         yield sys.stdout
 
 
-def _write_output(args: argparse.Namespace, text: str) -> None:
+def _write_output(args: argparse.Namespace, payload: dict, render) -> None:
+    """render(payload) with --format text; otherwise the bytes of
+    json.dumps(payload, indent=2) and a newline, written as the encoder
+    yields them, so that the whole text is never held."""
     with _output(args) as out:
-        out.write(text)
-
-
-def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+        if args.format == "text":
+            out.write(render(payload))
+        else:
+            out.writelines(json.JSONEncoder(indent=2).iterencode(payload))
+            out.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +323,13 @@ def _fit_payload(res: FitResult, names) -> dict:
     if se is not None:
         ests = list(res.beta_hat) + [res.theta_hat]
         z = [e / s if s > 0 else math.nan for e, s in zip(ests, se)]
-    payload = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "fit",
         "names": list(names) + ["theta"],
         **res.to_dict(),
         "z_ratios": z,
     }
-    return payload
 
 
 def _render_fit_text(payload: dict) -> str:
@@ -284,18 +362,15 @@ def _render_fit_text(payload: dict) -> str:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    ds = ingest_csv(args.input, args.response, args.no_intercept)
     opts = FitOptions(
         max_iter=args.max_iter,
         info_kind=InfoKind(args.info),
         eps_tail=args.eps_tail,
     )
-    res = fit(ds, opts)
-    payload = _fit_payload(res, ds.names)
-    if args.format == "text":
-        _write_output(args, _render_fit_text(payload))
-    else:
-        _write_output(args, _render_json(payload))
+    with Workers() as workers:
+        ds = ingest_csv(args.input, args.response, args.no_intercept, workers)
+        res = fit(ds, opts)
+    _write_output(args, _fit_payload(res, ds.names), _render_fit_text)
     return 0 if res.converged else 2
 
 
@@ -303,45 +378,14 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _format_block(block) -> str:
-    """CSV rows of one (counts, regressors) block: str of each count and
-    repr of each regressor, so the bytes do not depend on who formats it."""
-    y, Z = block
-    cols = [map(str, y.tolist())]
-    cols += [map(repr, c) for c in Z.T.tolist()]
+def _format_block(state, s: slice) -> str:
+    """CSV rows of one block of (counts, regressors) = state: str of each
+    count and repr of each regressor, so the bytes do not depend on who
+    formats it."""
+    y, Z = state
+    cols = [map(str, y[s].tolist())]
+    cols += [map(repr, c) for c in Z[s].T.tolist()]
     return "\n".join(map(",".join, zip(*cols))) + "\n"
-
-
-@contextlib.contextmanager
-def _formatted(blocks: list):
-    """_format_block of each block, in order: in min(usable CPUs, blocks)
-    forked workers when that is two or more, otherwise here.
-
-    The workers are forked before the pool starts its threads and only
-    format; spawned ones would import numpy again, about 0.35 s at n = 1e6
-    on two CPUs.  The pool is closed and joined on every path.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, len(blocks))
-    if workers >= 2:
-        import multiprocessing  # here, so importing nbmle.cli stays cheap
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 1
-    if workers < 2:
-        yield map(_format_block, blocks)
-        return
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
-        yield pool.imap(_format_block, blocks, chunksize=1)
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.close()
-        pool.join()
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -356,12 +400,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     y = sample_counts(lam, args.theta, rng)
     del lam  # freed before any worker is forked
     header = [args.response] + [f"x{j}" for j in range(1, p)]
-    blocks = [(y[s], Z[s]) for s in _row_blocks(args.n)]
+    blocks = _row_blocks(args.n)
     # The workers start before anything is written, so none inherits an
-    # unflushed output buffer.
-    with _formatted(blocks) as texts, _output(args) as out:
-        out.write(",".join(header) + "\n")
-        out.writelines(texts)
+    # unflushed output buffer; they hold y and Z from the fork.
+    with Workers() as workers:
+        workers.fork((y, Z), len(blocks))
+        with _output(args) as out:
+            out.write(",".join(header) + "\n")
+            out.writelines(workers.map(_format_block, blocks))
     return 0
 
 
@@ -394,10 +440,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         eps_tail=args.eps_tail,
         seed=args.seed,
     )
-    if args.format == "text":
-        _write_output(args, _render_verify_text(payload))
-    else:
-        _write_output(args, _render_json(payload))
+    _write_output(args, payload, _render_verify_text)
     return 0 if ok else 3
 
 
@@ -406,17 +449,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_info(args: argparse.Namespace) -> int:
-    ds = ingest_csv(args.input, args.response, args.no_intercept)
-    beta = np.array(args.beta, dtype=float)
-    if len(beta) != ds.p:
-        raise CliInputError(
-            f"--beta has {len(beta)} coefficients but the design has {ds.p} "
-            f"columns ({', '.join(ds.names)})"
-        )
-    params = Params(beta, args.theta)
-    matrices = {}
-    if args.info in ("observed", "both"):
-        matrices["observed"] = observed_info(ds, params).to_dict()
+    with Workers() as workers:
+        ds = ingest_csv(args.input, args.response, args.no_intercept, workers)
+        beta = np.array(args.beta, dtype=float)
+        if len(beta) != ds.p:
+            raise CliInputError(
+                f"--beta has {len(beta)} coefficients but the design has "
+                f"{ds.p} columns ({', '.join(ds.names)})"
+            )
+        params = Params(beta, args.theta)
+        matrices = {}
+        if args.info in ("observed", "both"):
+            matrices["observed"] = observed_info(ds, params).to_dict()
     if args.info in ("expected", "both"):
         matrices["expected"] = expected_info(ds, params, args.eps_tail).to_dict()
     payload = {
@@ -427,21 +471,22 @@ def cmd_info(args: argparse.Namespace) -> int:
         "theta": args.theta,
         "matrices": matrices,
     }
-    if args.format == "text":
-        lines = []
-        for kind, m in matrices.items():
-            lines.append(f"{kind} information matrix:")
-            for row in m["matrix"]:
-                lines.append("  " + "  ".join(_fmt(v) for v in row))
-            if m["truncation"]:
-                lines.append(
-                    "  truncation: max_cutoff=%d chosen=%s"
-                    % (max(m["truncation"]["cutoffs"]), m["truncation"]["chosen"])
-                )
-        _write_output(args, "\n".join(lines) + "\n")
-    else:
-        _write_output(args, _render_json(payload))
+    _write_output(args, payload, _render_info_text)
     return 0
+
+
+def _render_info_text(payload: dict) -> str:
+    lines = []
+    for kind, m in payload["matrices"].items():
+        lines.append(f"{kind} information matrix:")
+        for row in m["matrix"]:
+            lines.append("  " + "  ".join(_fmt(v) for v in row))
+        if m["truncation"]:
+            lines.append(
+                "  truncation: max_cutoff=%d chosen=%s"
+                % (max(m["truncation"]["cutoffs"]), m["truncation"]["chosen"])
+            )
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -473,23 +518,22 @@ def _parse_beta(text: str) -> tuple:
 
 
 def _parse_grid(text: str) -> tuple:
-    points = []
     try:
-        for tok in text.split(","):
-            y_s, scale_s = tok.split(":")
-            points.append((int(y_s), float(scale_s)))
+        return tuple((int(y), float(scale))
+                     for y, scale in (tok.split(":") for tok in text.split(",")))
     except ValueError:
         raise CliInputError(
             f"cannot parse --grid {text!r}; expected y:scale[,y:scale...]"
         ) from None
-    return tuple(points)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nbmle", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, needs_input):
+    def add(name, func, needs_input, text, formats=("json", "text")):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
         if needs_input:
             p.add_argument("--input", required=True, help="input CSV path")
             p.add_argument("--response", default="y",
@@ -498,19 +542,17 @@ def _build_parser() -> _Parser:
                            help="do not prepend an all-ones intercept column")
         p.add_argument("--output", default=None,
                        help="output path (default stdout)")
+        if formats:
+            p.add_argument("--format", choices=list(formats), default=formats[0])
+        return p
 
-    p_fit = sub.add_parser("fit", help="maximum-likelihood fit from a CSV")
-    p_fit.set_defaults(func=cmd_fit)
-    add_io(p_fit, needs_input=True)
-    p_fit.add_argument("--format", choices=["json", "text"], default="json")
+    p_fit = add("fit", cmd_fit, True, "maximum-likelihood fit from a CSV")
     p_fit.add_argument("--info", choices=["observed", "expected"],
                        default="observed", help="standard-error source")
     p_fit.add_argument("--eps-tail", type=_POSITIVE, default=DEFAULT_EPS_TAIL)
     p_fit.add_argument("--max-iter", type=_COUNT, default=100)
 
-    p_sim = sub.add_parser("simulate", help="simulate a dataset to CSV")
-    p_sim.set_defaults(func=cmd_simulate)
-    add_io(p_sim, needs_input=False)
+    p_sim = add("simulate", cmd_simulate, False, "simulate a dataset to CSV", ())
     p_sim.add_argument("--beta", type=_parse_beta, required=True,
                        help="comma-separated coefficients, intercept first")
     p_sim.add_argument("--theta", type=_POSITIVE, required=True,
@@ -521,10 +563,7 @@ def _build_parser() -> _Parser:
                        help="response column name to write")
     p_sim.add_argument("--format", choices=["csv"], default="csv")
 
-    p_ver = sub.add_parser("verify", help="run the numerical verification suite")
-    p_ver.set_defaults(func=cmd_verify)
-    add_io(p_ver, needs_input=False)
-    p_ver.add_argument("--format", choices=["json", "text"], default="json")
+    p_ver = add("verify", cmd_verify, False, "run the numerical verification suite")
     p_ver.add_argument("--seed", type=_SEED, default=20260809)
     p_ver.add_argument("--eps-tail", type=_POSITIVE, default=DEFAULT_EPS_TAIL)
     p_ver.add_argument("--tol-first", type=_POSITIVE, default=1e-6,
@@ -534,10 +573,7 @@ def _build_parser() -> _Parser:
     p_ver.add_argument("--grid", type=_parse_grid, default=None,
                        help="identity grid override, y:scale[,y:scale...]")
 
-    p_info = sub.add_parser("info", help="information matrices at given parameters")
-    p_info.set_defaults(func=cmd_info)
-    add_io(p_info, needs_input=True)
-    p_info.add_argument("--format", choices=["json", "text"], default="json")
+    p_info = add("info", cmd_info, True, "information matrices at given parameters")
     p_info.add_argument("--beta", type=_parse_beta, required=True,
                         help="comma-separated coefficients matching the design")
     p_info.add_argument("--theta", type=_POSITIVE, required=True)

@@ -24,7 +24,8 @@ gamma-free derivatives are
 grad_hess also returns the log-likelihood at the point (GradHess.loglik),
 by model.loglik's expression over the link and ln(1+t_i) it already holds.
 It reduces every sum over i one block of model.BLOCK_ROWS rows at a time,
-and evaluates each block's link once, at the top of its step.
+in the dataset's worker processes when it has them, and evaluates each
+block's link once, at the top of its step.
 
 All functions are pure; per-observation reductions use numpy's pairwise
 summation within a block and add the blocks in order.
@@ -39,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import DomainError
-from .model import Dataset, Params, _loglik_sum, _row_blocks, link_mean
+from .model import Dataset, Params, _loglik_sum, _row_map, link_mean
 from .special import _finite_sum_tables
 
 
@@ -93,53 +94,23 @@ def grad_hess(ds: Dataset, p: Params) -> GradHess:
     """Evaluate the log-likelihood and every derivative block in one pass.
 
     The finite-sum tables are built once for all rows, after the theta
-    conditions of _require_finite_range.  Then, one block of
-    model._row_blocks at a time, the block's link is evaluated, its
-    largest mean and count are range-checked, and every quantity is formed
-    and reduced, with r = 1/(1+t) and a = (y - lam) r shared by all six.
-    The score and the Hessian's beta rows come from one product per block,
-    X_b' [a, lam a r, w X_b], with w the h_bb weight lam (1 + theta y) r^2.
-    The log-likelihood is model.loglik's, block for block.
+    conditions of _require_finite_range.  _block_sums reduces each block of
+    model._row_blocks, in ds's workers if it has them, under this numpy
+    error state; the sums are added here in block order, so the totals do
+    not depend on where the blocks ran.
     """
     theta = p.theta
     u = 1.0 / theta
-    y, X = ds.y, ds.X
     # Past LARGE_COUNT_SWITCH the tables call trigamma(1/theta), whose own
     # DomainError comes before the range check.
     (log_u, log_1, weights, recip), keys = _finite_sum_tables(
-        y, ((u, "log"), (1.0, "log"), (u, "weights"), (u, "recip")),
+        ds.y, ((u, "log"), (1.0, "log"), (u, "weights"), (u, "recip")),
         check=lambda: _require_finite_range(theta))
-    log_sums = log_u - log_1
-    u2, u3 = u * u, u * u * u
-    n, k = X.shape
-    ll = score_theta = h_tt = 0.0
-    cross = np.zeros((k, k + 2))
-    # Arrays are deleted once spent: one block's scratch is all that is held.
-    for s in _row_blocks(n):
-        key, X_b, y_b = keys[s], X[s], y[s].astype(float)
-        link = link_mean(X_b, p.beta, s.start)
-        lam_b = link.lam
-        _require_finite_range(theta, float(lam_b.max()), float(y_b.max()))
-        t = theta * lam_b
-        log1p_t = np.log1p(t)
-        ll += _loglik_sum(y_b, link.eta, theta, log1p_t, log_sums[key])
-        r = 1.0 / (1.0 + t)
-        resid = y_b - lam_b
-        del link
-        h_tt += float(np.sum(u3 * weights[key]
-                             - u3 * _theta_bracket(resid, t, log1p_t, theta)))
-        a = resid * r
-        score_theta += float(np.sum(u2 * (log1p_t - recip[key]) + u * a))
-        w = lam_b * (1.0 + theta * y_b) * r * r
-        del y_b, t, log1p_t, resid
-        # Row-major: rows a, lam a r, then w times each column of X_b.
-        m = np.empty((k + 2, len(a)))
-        m[0] = a
-        np.multiply(lam_b * a, r, out=m[1])
-        for j in range(k):
-            np.multiply(X_b[:, j], w, out=m[2 + j])
-        cross += X_b.T @ m.T
-        del lam_b, r, a, w, m
+    tables = (log_u - log_1, weights, recip, None if keys is ds.y else keys)
+    sums = (0.0, 0.0, 0.0, np.zeros((ds.p, ds.p + 2)))
+    for block in _row_map(ds, _block_sums, p.beta, theta, tables):
+        sums = [total + part for total, part in zip(sums, block)]
+    ll, score_theta, h_tt, cross = sums
     h_bb = -cross[:, 2:]
     return GradHess(
         loglik=ll,
@@ -149,6 +120,48 @@ def grad_hess(ds: Dataset, p: Params) -> GradHess:
         h_bt=-cross[:, 1],
         h_tt=h_tt,
     )
+
+
+def _block_sums(state, blocks, beta, theta: float, tables) -> list:
+    """(log-likelihood, score_theta, h_tt, X_b' [a, lam a r, w X_b]) of each
+    row block of (y, X) = state, from grad_hess's tables, indexed by the
+    counts or by the last if set.  A block's link is evaluated and its
+    largest mean and count range-checked; r = 1/(1+t) and a = (y - lam) r
+    are shared by all six sums, and w is the h_bb weight lam (1 + theta y)
+    r^2.  The log-likelihood is loglik's."""
+    y, X = state
+    log_sums, weights, recip, keys = tables
+    u = 1.0 / theta
+    u2, u3 = u * u, u * u * u
+    sums = []
+    # Arrays are deleted once spent: one block's scratch is all that is held.
+    for s in blocks:
+        key = y[s] if keys is None else keys[s]
+        X_b, y_b = X[s], y[s].astype(float)
+        link = link_mean(X_b, beta, s.start)
+        lam_b = link.lam
+        _require_finite_range(theta, float(lam_b.max()), float(y_b.max()))
+        t = theta * lam_b
+        log1p_t = np.log1p(t)
+        ll = _loglik_sum(y_b, link.eta, theta, log1p_t, log_sums[key])
+        r = 1.0 / (1.0 + t)
+        resid = y_b - lam_b
+        del link
+        h_tt = float(np.sum(u3 * weights[key]
+                            - u3 * _theta_bracket(resid, t, log1p_t, theta)))
+        a = resid * r
+        score_theta = float(np.sum(u2 * (log1p_t - recip[key]) + u * a))
+        w = lam_b * (1.0 + theta * y_b) * r * r
+        del y_b, t, log1p_t, resid
+        # Row-major: rows a, lam a r, then w times each column of X_b.
+        m = np.empty((len(X_b.T) + 2, len(a)))
+        m[0] = a
+        np.multiply(lam_b * a, r, out=m[1])
+        for j, column in enumerate(X_b.T):
+            np.multiply(column, w, out=m[2 + j])
+        sums.append((ll, score_theta, h_tt, X_b.T @ m.T))
+        del lam_b, r, a, w, m
+    return sums
 
 
 def finite_diff(f: Callable[[float], float], x0: float, h: float) -> float:

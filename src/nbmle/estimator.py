@@ -43,7 +43,7 @@ from .exceptions import (
     LinearPredictorOverflow,
 )
 from .fisher import InfoKind, InfoMatrix, expected_info, observed_info_from
-from .model import DEFAULT_EPS_TAIL, Dataset, Params, _row_blocks
+from .model import DEFAULT_EPS_TAIL, Dataset, Params, _row_map
 
 
 # The decrement g . (-H)^-1 g is the squared length of the remaining Newton
@@ -109,7 +109,7 @@ def init_params(ds: Dataset) -> Params:
     from matching the NB2 variance ybar * (1 + theta * ybar) to the sample
     variance.
     """
-    R = _r_factor(ds.X, ds.y)
+    R = _r_factor(ds)
     p = ds.p
     bad = _collinear_columns(R[:p, :p])
     if bad:
@@ -125,15 +125,20 @@ def init_params(ds: Dataset) -> Params:
     return Params(beta=beta0, theta=theta0)
 
 
-def _r_factor(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _r_factor(ds: Dataset) -> np.ndarray:
     """The R factor of [X | ln(y + 0.5)], by a blocked QR (TSQR; Demmel et
     al., SIAM J. Sci. Comput. 2012): the R factors of the row blocks of
-    model._row_blocks, stacked in order and factored once more, so no copy
-    of the whole matrix is made.
+    model._row_blocks, in ds's workers when it has them, stacked in order
+    and factored once more, so no copy of the whole matrix is made.
     """
-    parts = [np.linalg.qr(np.column_stack((X[s], np.log(y[s] + 0.5))), mode="r")
-             for s in _row_blocks(len(X))]
+    parts = list(_row_map(ds, _r_factors))
     return parts[0] if len(parts) == 1 else np.linalg.qr(np.vstack(parts), mode="r")
+
+
+def _r_factors(state, blocks) -> list:
+    y, X = state
+    return [np.linalg.qr(np.column_stack((X[s], np.log(y[s] + 0.5))), mode="r")
+            for s in blocks]
 
 
 def _collinear_columns(R: np.ndarray) -> list:

@@ -16,6 +16,9 @@ class LinearPredictorOverflow(OverflowError):
             f"(|x'beta| must stay <= 700)"
         )
 
+    def __reduce__(self):  # raised in a worker, unpickled in the command
+        return type(self), (self.row, self.value)
+
 
 class TruncationCapExceeded(RuntimeError):
     """A truncated infinite series failed to converge within the hard term cap."""

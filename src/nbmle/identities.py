@@ -138,14 +138,8 @@ def _evaluate(identity, grid, point_fn, pair_tols):
             if res[pair] >= worst:
                 worst, worst_pt = res[pair], pt
         verdicts[pair] = PairVerdict(worst <= tol, tol, worst, worst_pt)
-    return IdentityReport(
-        identity=identity,
-        grid=tuple(kept),
-        values=tuple(values),
-        residuals=tuple(residuals),
-        verdicts=verdicts,
-        invalid_points=tuple(invalid),
-    )
+    return IdentityReport(identity, tuple(kept), tuple(values),
+                          tuple(residuals), verdicts, tuple(invalid))
 
 
 def check_digamma_sum(grid=None, tol: float = TOL_SUM) -> IdentityReport:
@@ -158,9 +152,8 @@ def check_digamma_sum(grid=None, tol: float = TOL_SUM) -> IdentityReport:
         s = sum_recip_shifted(y, 1.0 / alpha)
         return {"digamma_diff": dig, "finite_sum": s}
 
-    return _evaluate(
-        IdentityId.DIGAMMA_SUM, grid, point, {"digamma_diff_vs_finite_sum": tol}
-    )
+    return _evaluate(IdentityId.DIGAMMA_SUM, grid, point,
+                     {"digamma_diff_vs_finite_sum": tol})
 
 
 def _ln_gamma_ratio_of_theta(y: int, theta: float) -> float:
@@ -188,16 +181,9 @@ def check_digamma_chain(grid=None, tol: float = 1e-6) -> IdentityReport:
         c = -u * u * sum_recip_shifted(y, theta)
         return {"fd_derivative": a, "digamma_diff": b, "scaled_sum": c}
 
-    return _evaluate(
-        IdentityId.DIGAMMA_CHAIN,
-        grid,
-        point,
-        {
-            "fd_derivative_vs_digamma_diff": tol,
-            "fd_derivative_vs_scaled_sum": tol,
-            "digamma_diff_vs_scaled_sum": tol,
-        },
-    )
+    return _evaluate(IdentityId.DIGAMMA_CHAIN, grid, point, dict.fromkeys(
+        ("fd_derivative_vs_digamma_diff", "fd_derivative_vs_scaled_sum",
+         "digamma_diff_vs_scaled_sum"), tol))
 
 
 def check_trigamma_chain(grid=None, tol: float = 1e-4) -> IdentityReport:
@@ -218,16 +204,9 @@ def check_trigamma_chain(grid=None, tol: float = 1e-4) -> IdentityReport:
         c = u * u * u * sum_trigamma_weights(y, theta)
         return {"fd_second": a, "trigamma_diff": b, "weighted_sum": c}
 
-    return _evaluate(
-        IdentityId.TRIGAMMA_CHAIN,
-        grid,
-        point,
-        {
-            "fd_second_vs_trigamma_diff": tol,
-            "fd_second_vs_weighted_sum": tol,
-            "trigamma_diff_vs_weighted_sum": tol,
-        },
-    )
+    return _evaluate(IdentityId.TRIGAMMA_CHAIN, grid, point, dict.fromkeys(
+        ("fd_second_vs_trigamma_diff", "fd_second_vs_weighted_sum",
+         "trigamma_diff_vs_weighted_sum"), tol))
 
 
 def check_trigamma_sum(grid=None, tol: float = TOL_SUM) -> IdentityReport:
@@ -251,24 +230,13 @@ def check_trigamma_sum(grid=None, tol: float = TOL_SUM) -> IdentityReport:
             1.0 / (theta * j + 1.0) ** 2 for j in range(y)
         )
         recip = -math.fsum(1.0 / (j + 1.0 / theta) ** 2 for j in range(y))
-        return {
-            "trigamma_diff": tri,
-            "neg_sq_sum": neg_sq,
-            "theta_scaled_form": scaled,
-            "reciprocal_form": recip,
-        }
+        return {"trigamma_diff": tri, "neg_sq_sum": neg_sq,
+                "theta_scaled_form": scaled, "reciprocal_form": recip}
 
-    report = _evaluate(
-        IdentityId.TRIGAMMA_SUM,
-        grid,
-        point,
-        {
-            "trigamma_diff_vs_neg_sq_sum": tol,
-            "neg_sq_sum_vs_theta_scaled_form": _ALGEBRA_TOL,
-            "theta_scaled_form_vs_reciprocal_form": _ALGEBRA_TOL,
-        },
-    )
-    return report
+    return _evaluate(IdentityId.TRIGAMMA_SUM, grid, point, {
+        "trigamma_diff_vs_neg_sq_sum": tol,
+        "neg_sq_sum_vs_theta_scaled_form": _ALGEBRA_TOL,
+        "theta_scaled_form_vs_reciprocal_form": _ALGEBRA_TOL})
 
 
 def run_all_checks(grid=None, tol_first: float = 1e-6,

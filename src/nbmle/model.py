@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -69,11 +69,15 @@ class Dataset:
         X: design matrix, shape (n, p).  By CSV-ingestion convention the
             first column is an all-ones intercept unless disabled.
         names: p column labels.
+        workers: the nbmle.workers.Workers that hold y and X, as the
+            leading rows of their state, and run the O(n) passes over
+            them (see _row_map); None to run them here.
     """
 
     y: np.ndarray
     X: np.ndarray
     names: tuple = ()
+    workers: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         y = np.asarray(self.y)
@@ -179,8 +183,21 @@ def nb_pmf(y: int, lam: float, alpha: float) -> float:
 
 def _row_blocks(n: int) -> list:
     """Slices of at most BLOCK_ROWS consecutive rows covering range(n), in
-    order: one slice when n <= BLOCK_ROWS."""
-    return [slice(s, s + BLOCK_ROWS) for s in range(0, n, BLOCK_ROWS)]
+    order, none past n: one slice when n <= BLOCK_ROWS."""
+    return [slice(s, min(s + BLOCK_ROWS, n)) for s in range(0, n, BLOCK_ROWS)]
+
+
+def _row_map(ds: Dataset, fn, *args):
+    """The per-block results of fn(state, blocks, *args), in block order:
+    fn runs over one run of consecutive _row_blocks per worker of
+    ds.workers, state being their (y, X), or over all of them here."""
+    blocks = _row_blocks(ds.n)
+    if ds.workers is None:
+        return fn((ds.y, ds.X), blocks, *args)
+    k = ds.workers.count
+    runs = [blocks[j * len(blocks) // k:(j + 1) * len(blocks) // k] for j in range(k)]
+    return [r for run in ds.workers.map(fn, [r for r in runs if r], *args)
+            for r in run]
 
 
 def _loglik_sum(y: np.ndarray, eta: np.ndarray, theta: float,

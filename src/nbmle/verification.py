@@ -61,8 +61,8 @@ def _fd_derivative_suite(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     worst = {k: 0.0 for k in ("score_beta", "score_theta", "h_bb", "h_bt", "h_tt")}
 
-    def rel(a, b):
-        return abs(a - b) / max(abs(a), abs(b), 1.0)
+    def note(block, a, b):
+        worst[block] = max(worst[block], abs(a - b) / max(abs(a), abs(b), 1.0))
 
     for _ in range(_FD_INSTANCES):
         n = int(rng.integers(8, 51))
@@ -89,26 +89,15 @@ def _fd_derivative_suite(seed: int) -> dict:
 
         for k in range(p):
             h = 1e-5 * (1.0 + abs(beta[k]))
-            worst["score_beta"] = max(worst["score_beta"], rel(
-                gh.score_beta[k],
-                finite_diff(lambda v: at(k, v).loglik, beta[k], h),
-            ))
-            worst["h_bb"] = max(worst["h_bb"], rel(
-                gh.h_bb[k, k],
-                finite_diff(lambda v: float(at(k, v).score_beta[k]), beta[k], h),
-            ))
-            worst["h_bt"] = max(worst["h_bt"], rel(
-                gh.h_bt[k],
-                finite_diff(lambda t: float(at(p, t).score_beta[k]), theta, h_t),
-            ))
-        worst["score_theta"] = max(worst["score_theta"], rel(
-            gh.score_theta,
-            finite_diff(lambda t: at(p, t).loglik, theta, h_t),
-        ))
-        worst["h_tt"] = max(worst["h_tt"], rel(
-            gh.h_tt,
-            finite_diff(lambda t: at(p, t).score_theta, theta, h_t),
-        ))
+            note("score_beta", gh.score_beta[k],
+                 finite_diff(lambda v: at(k, v).loglik, beta[k], h))
+            note("h_bb", gh.h_bb[k, k],
+                 finite_diff(lambda v: float(at(k, v).score_beta[k]), beta[k], h))
+            note("h_bt", gh.h_bt[k],
+                 finite_diff(lambda t: float(at(p, t).score_beta[k]), theta, h_t))
+        note("score_theta", gh.score_theta,
+             finite_diff(lambda t: at(p, t).loglik, theta, h_t))
+        note("h_tt", gh.h_tt, finite_diff(lambda t: at(p, t).score_theta, theta, h_t))
     return worst
 
 

@@ -31,7 +31,7 @@ def simulate_to(tmp_path, name="sim.csv", beta="0.5,-0.3", theta=0.8, n=400,
 
 
 def _no_pool(*args, **kwargs):
-    raise AssertionError("simulate started a worker pool")
+    raise AssertionError("a command started a worker pool")
 
 
 class TestIngest:
@@ -81,6 +81,13 @@ class TestIngest:
         with pytest.raises(CliInputError) as err:
             ingest_csv(str(f))
         assert "empty" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["y,x1", "y,x1\n", "y,x1\r\n"])
+    def test_header_alone_has_no_data_rows(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(CliInputError, match="no data rows$"):
+            ingest_csv(str(path))
 
     def test_non_utf8_header_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
@@ -332,7 +339,7 @@ class TestIngestFastPath:
             ingest_csv(str(path))
         assert str(err.value) == f"{path}: row 26 has 1 cells, expected 2"
 
-    def test_quoted_file_read_as_one_block(self, tmp_path, monkeypatch):
+    def test_quoted_file_read_in_blocks(self, tmp_path, monkeypatch):
         lines = ["y,x1"] + [f'"{k % 4}",{k / 8}' if k % 3 else f'{k % 4},"{k / 8}"'
                             for k in range(30)]
         path = tmp_path / "d.csv"
@@ -371,7 +378,7 @@ class TestIngestFastPath:
         assert calls == [(12, 4)]
         assert ds.n == 30 and ds.X[13, 1] == 13.25
 
-    def test_refused_quoted_file_is_parsed_again_from_the_header(
+    def test_refused_quoted_block_alone_goes_to_the_row_parser(
             self, tmp_path, monkeypatch):
         lines = ["y,x1"] + [f'"{k % 4}",{k / 8}' for k in range(30)]
         lines[25] = '1,"2_0.5"'
@@ -380,8 +387,23 @@ class TestIngestFastPath:
         monkeypatch.setattr(cli, "_READ_LINES", 2)
         assert self.by_numpy(monkeypatch, cli._read, str(path), "y", 1) is None
         ds, calls = self.same_as_rows(path, monkeypatch)
-        assert calls == [(0, 30)]
+        # Blocks of two lines: row 24 and the blank line after it.
+        assert calls == [(24, 1)]
         assert ds.n == 30 and ds.X[24, 1] == 20.5
+
+    @pytest.mark.parametrize("lines", [1, 2, 3])
+    def test_quoted_cell_across_a_block_boundary(self, tmp_path, monkeypatch,
+                                                 lines):
+        """A block goes on until its quotes are even in number, so a cell
+        whose quotes span lines is read whole, as csv reads the file."""
+        rows = [f'{k % 4},"{k / 8}"' for k in range(12)]
+        rows[4] = '1,"\n0.5\n"'
+        rows[7] = '"2\r\n",0.25'
+        path = tmp_path / "d.csv"
+        path.write_bytes(("y,x1\r\n" + "\r\n".join(rows) + "\r\n").encode())
+        monkeypatch.setattr(cli, "_READ_LINES", lines)
+        ds, _ = self.same_as_rows(path, monkeypatch)
+        assert ds.n == 12 and ds.X[4, 1] == 0.5 and ds.y[7] == 2
 
 
 class TestResponseBounds:
@@ -483,9 +505,9 @@ class TestSimulate:
             def __init__(self, method):
                 self.ctx = real(method)
 
-            def Pool(self, processes):
+            def Pool(self, processes, *args):
                 sizes.append(processes)
-                return self.ctx.Pool(processes)
+                return self.ctx.Pool(processes, *args)
 
         monkeypatch.setattr(multiprocessing, "get_context", Recording)
         monkeypatch.setattr(os, "sched_getaffinity",
@@ -878,14 +900,18 @@ class TestMemory:
     BIG = dict(beta="0.0,0.3,-0.2,0.25", theta=0.5, n=200_000, seed=1)
 
     @pytest.mark.parametrize("copy", ["clean", "underscore", "quoted"])
-    def test_ingest_holds_y_x_and_block_scratch(self, tmp_path, copy):
+    def test_ingest_holds_y_x_and_block_scratch(self, tmp_path, monkeypatch,
+                                                copy):
         """A cell in the last block that only the row parser reads costs one
-        block of scratch.  A quoted file is parsed whole, into one n x 4
-        body that loadtxt grows in steps, to about 1.16 times its size."""
+        block of scratch, and a quoted file streams in blocks like any
+        other.  With one usable CPU, where tracemalloc sees every byte."""
         import re
         import tracemalloc
 
         path = simulate_to(tmp_path, **self.BIG)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
         lines = path.read_text().splitlines(keepends=True)
         if copy == "underscore":  # .1234 becomes .1_234, the same value
             lines[-2] = re.sub(r"\.(\d)(\d)", r".\1_\2", lines[-2], count=1)
@@ -893,7 +919,6 @@ class TestMemory:
             lines = ['"' + ln[:-1].replace(",", '","') + '"\n' for ln in lines]
         path.write_text("".join(lines))
         del lines
-        body = 1.25 * 8 * 200_000 * 4 if copy == "quoted" else 0
         tracemalloc.start()
         try:
             ds = ingest_csv(str(path))
@@ -901,7 +926,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert ds.X.shape == (200_000, 4)
-        assert peak < ds.X.nbytes + ds.y.nbytes + body + 2e6
+        assert peak < ds.X.nbytes + ds.y.nbytes + 2e6
 
     def test_simulate_draw_holds_no_design(self, monkeypatch):
         import tracemalloc
