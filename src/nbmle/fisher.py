@@ -65,15 +65,8 @@ class ThetaTruncationReport:
     chosen: str              # which convention the returned element used
 
     def to_dict(self) -> dict:
-        return {
-            "eps_tail": self.eps_tail,
-            "cutoffs": list(self.cutoffs),
-            "tail_bounds": list(self.tail_bounds),
-            "survivor_at_j_total": self.survivor_at_j_total,
-            "survivor_at_j_plus_1_total": self.survivor_at_j_plus_1_total,
-            "brute_force_total": self.brute_force_total,
-            "chosen": self.chosen,
-        }
+        return {**vars(self), "cutoffs": list(self.cutoffs),
+                "tail_bounds": list(self.tail_bounds)}
 
 
 @dataclass(frozen=True)

@@ -69,9 +69,8 @@ class Dataset:
         X: design matrix, shape (n, p).  By CSV-ingestion convention the
             first column is an all-ones intercept unless disabled.
         names: p column labels.
-        workers: the nbmle.workers.Workers that hold y and X, as the
-            leading rows of their state, and run the O(n) passes over
-            them (see _row_map); None to run them here.
+        workers: the nbmle.workers.Workers whose state leads with y and X
+            and that run the O(n) passes (_row_map); None to run them here.
     """
 
     y: np.ndarray
@@ -90,14 +89,17 @@ class Dataset:
             raise DomainError("y contains non-finite entries")
         if np.any(y < 0) or (y.dtype.kind == "f" and np.any(y != np.floor(y))):
             raise DomainError("y must contain non-negative integers")
-        if not np.all(np.isfinite(X)):
+        object.__setattr__(self, "X", X)
+        ranges = _row_map(self, _column_ranges)  # in the workers, if any
+        if not all(r[0] for r in ranges):
             raise DomainError("X contains non-finite entries")
         n, p = X.shape
         if len(y) != n:
             raise DomainError(f"y has {len(y)} rows but X has {n}")
         if not (n >= p >= 1):
             raise DomainError(f"need n >= p >= 1, got n={n}, p={p}")
-        constant_cols = [j for j in range(p) if np.ptp(X[:, j]) == 0.0]
+        constant_cols = [j for j in range(p) if min(r[1][j] for r in ranges)
+                         == max(r[2][j] for r in ranges)]
         if len(constant_cols) > 1:
             raise DomainError(
                 f"columns {constant_cols} are all constant; at most one "
@@ -107,7 +109,6 @@ class Dataset:
         if len(names) != p:
             raise DomainError(f"got {len(names)} names for {p} columns")
         object.__setattr__(self, "y", y.astype(np.int64, copy=False))
-        object.__setattr__(self, "X", X)
         object.__setattr__(self, "names", names)
 
     @property
@@ -188,9 +189,8 @@ def _row_blocks(n: int) -> list:
 
 
 def _row_map(ds: Dataset, fn, *args):
-    """The per-block results of fn(state, blocks, *args), in block order:
-    fn runs over one run of consecutive _row_blocks per worker of
-    ds.workers, state being their (y, X), or over all of them here."""
+    """The per-block results of fn(state, blocks, *args) in block order, fn
+    run on consecutive _row_blocks per worker of ds.workers, or here."""
     blocks = _row_blocks(ds.n)
     if ds.workers is None:
         return fn((ds.y, ds.X), blocks, *args)
@@ -198,6 +198,13 @@ def _row_map(ds: Dataset, fn, *args):
     runs = [blocks[j * len(blocks) // k:(j + 1) * len(blocks) // k] for j in range(k)]
     return [r for run in ds.workers.map(fn, [r for r in runs if r], *args)
             for r in run]
+
+
+def _column_ranges(state, blocks) -> list:
+    """(X is all finite, column minima, column maxima) per row block."""
+    X, cols = state[1], range(state[1].shape[1])
+    return [(bool(np.isfinite(X[s]).all()), [X[s][:, j].min() for j in cols],
+             [X[s][:, j].max() for j in cols]) for s in blocks]
 
 
 def _loglik_sum(y: np.ndarray, eta: np.ndarray, theta: float,

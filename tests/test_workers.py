@@ -126,6 +126,20 @@ class TestRanges:
         np.testing.assert_array_equal(ds.X[:, 1], [k / 4 for k in range(40)])
         assert ranges == [4]
 
+    @pytest.mark.parametrize("cell, words", [
+        ("3.5", "columns [0, 1] are all constant; at most one (the "
+                "intercept) is allowed"),
+        ("inf", "X contains non-finite entries"),
+    ])
+    def test_dataset_checks_in_the_workers(self, tmp_path, ranges, cell,
+                                           words):
+        rows = [f"{k % 5},3.5,{k / 4}" for k in range(40)]
+        rows[30] = f"1,{cell},0.5"
+        path = tmp_path / "d.csv"
+        path.write_text("y,x1,x2\n" + "\n".join(rows) + "\n")
+        assert self.error(path) == f"{path}: {words}"
+        assert ranges == [4]
+
     def test_blank_lines_close_up_in_order(self, tmp_path, ranges):
         rows = list(self.ROWS)
         for k in (1, 12, 25):
