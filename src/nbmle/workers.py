@@ -43,7 +43,7 @@ def _call(job):
 
 
 class Workers:
-    """The forked workers of one command, or none; a context manager."""
+    """One command's forked workers, or none; leaving the context joins them."""
 
     def __init__(self):
         self.state, self.count, self._pool = None, 1, None
