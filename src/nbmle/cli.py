@@ -26,7 +26,6 @@ from itertools import islice
 
 import numpy as np
 
-from .estimator import FitOptions, FitResult, fit
 from .exceptions import (
     AllZeroResponseError,
     CollinearColumnsError,
@@ -35,10 +34,8 @@ from .exceptions import (
     QuadratureConvergenceError,
     TruncationCapExceeded,
 )
-from .fisher import InfoKind, expected_info, observed_info
-from .mixture import sample_counts
-from .model import DEFAULT_EPS_TAIL, Dataset, Params, _row_blocks, link_mean
-from .verification import SCHEMA_VERSION, run_verification
+from .model import (
+    DEFAULT_EPS_TAIL, SCHEMA_VERSION, Dataset, Params, _row_blocks, link_mean)
 from .workers import Workers, shared_empty, usable_cpus
 
 
@@ -317,7 +314,7 @@ def _write_output(args: argparse.Namespace, payload: dict, render) -> None:
 # fit
 # ---------------------------------------------------------------------------
 
-def _fit_payload(res: FitResult, names) -> dict:
+def _fit_payload(res, names) -> dict:
     se = res.se
     z = None
     if se is not None:
@@ -333,13 +330,12 @@ def _fit_payload(res: FitResult, names) -> dict:
 
 
 def _render_fit_text(payload: dict) -> str:
-    lines = []
     names = payload["names"]
     ests = payload["beta_hat"] + [payload["theta_hat"]]
     se = payload["se"]
     z = payload["z_ratios"]
     width = max(len(n) for n in names) + 2
-    lines.append(f"{'term':<{width}}{'estimate':>20}{'std_error':>20}{'z':>20}")
+    lines = [f"{'term':<{width}}{'estimate':>20}{'std_error':>20}{'z':>20}"]
     for k, name in enumerate(names):
         se_s = _fmt(se[k]) if se is not None else "unavailable"
         z_s = _fmt(z[k]) if z is not None else "unavailable"
@@ -362,6 +358,8 @@ def _render_fit_text(payload: dict) -> str:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from .estimator import FitOptions, fit  # before the fork, as workers run it
+    from .fisher import InfoKind
     opts = FitOptions(
         max_iter=args.max_iter,
         info_kind=InfoKind(args.info),
@@ -378,36 +376,40 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _format_block(state, s: slice) -> str:
-    """CSV rows of one block of (counts, regressors) = state: str of each
-    count and repr of each regressor, so the bytes do not depend on who
-    formats it."""
-    y, Z = state
-    cols = [map(str, y[s].tolist())]
-    cols += [map(repr, c) for c in Z[s].T.tolist()]
+def _format_block(state, task) -> str:
+    """CSV rows of one block, task = (rows, generator state before they
+    were drawn), with (y, k) = state: str of each count, then repr of each
+    of the k regressors, drawn again from that state, as PCG64 keeps no
+    draw buffered.  The bytes do not depend on who formats the block."""
+    (y, k), (s, saved) = state, task
+    bits = np.random.PCG64()
+    bits.state = saved
+    Z = np.random.Generator(bits).standard_normal((s.stop - s.start, k))
+    cols = [map(str, y[s].tolist())] + [map(repr, c) for c in Z.T.tolist()]
     return "\n".join(map(",".join, zip(*cols))) + "\n"
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .mixture import sample_counts
     beta = np.array(args.beta, dtype=float)
     p = len(beta)
     rng = np.random.default_rng(args.seed)
-    Z = rng.standard_normal((args.n, p - 1))
-    lam = np.empty(args.n)  # block by block: no n x p design is built
+    lam = np.empty(args.n)  # block by block: no n-row regressors are held
+    tasks = []
     for s in _row_blocks(args.n):
-        X_b = np.hstack([np.ones((len(Z[s]), 1)), Z[s]])
-        lam[s] = link_mean(X_b, beta, s.start).lam
+        tasks.append((s, rng.bit_generator.state))
+        Z = rng.standard_normal((s.stop - s.start, p - 1))
+        lam[s] = link_mean(np.hstack([np.ones((len(Z), 1)), Z]), beta, s.start).lam
     y = sample_counts(lam, args.theta, rng)
-    del lam  # freed before any worker is forked
+    del lam, Z  # freed before any worker is forked
     header = [args.response] + [f"x{j}" for j in range(1, p)]
-    blocks = _row_blocks(args.n)
     # The workers start before anything is written, so none inherits an
-    # unflushed output buffer; they hold y and Z from the fork.
+    # unflushed output buffer; they hold y from the fork.
     with Workers() as workers:
-        workers.fork((y, Z), len(blocks))
+        workers.fork((y, p - 1), len(tasks))
         with _output(args) as out:
             out.write(",".join(header) + "\n")
-            out.writelines(workers.map(_format_block, blocks))
+            out.writelines(workers.map(_format_block, tasks))
     return 0
 
 
@@ -433,6 +435,7 @@ def _render_verify_text(payload: dict) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verification import run_verification
     payload, ok = run_verification(
         grid=args.grid,
         tol_first=args.tol_first,
@@ -449,6 +452,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_info(args: argparse.Namespace) -> int:
+    from .fisher import expected_info, observed_info  # before the fork
     with Workers() as workers:
         ds = ingest_csv(args.input, args.response, args.no_intercept, workers)
         beta = np.array(args.beta, dtype=float)

@@ -117,10 +117,7 @@ def init_params(ds: Dataset) -> Params:
     beta0, *_ = np.linalg.lstsq(R[:p, :p], R[:p, p], rcond=None)
     ybar = float(np.mean(ds.y))
     s2 = float(np.var(ds.y, ddof=1)) if ds.n > 1 else 0.0
-    if ybar > 0.0:
-        theta0 = (s2 - ybar) / (ybar * ybar)
-    else:
-        theta0 = 0.01
+    theta0 = (s2 - ybar) / (ybar * ybar) if ybar > 0.0 else 0.01
     theta0 = min(max(theta0, 0.01), 100.0)
     return Params(beta=beta0, theta=theta0)
 

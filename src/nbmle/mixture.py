@@ -18,8 +18,6 @@ per node.
 
 The sampler draws u ~ Gamma(alpha, rate=alpha) then y ~ Poisson(lam * u)
 from numpy's PCG64 generator, so a seed pins the exact output stream.
-Parallel generation should derive sub-streams with
-numpy.random.SeedSequence(seed).spawn(k) rather than arithmetic on seeds.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import math
 import numpy as np
 
 from .exceptions import DomainError, QuadratureConvergenceError
-from .model import DEFAULT_EPS_TAIL, _pmf_table
+from .model import DEFAULT_EPS_TAIL, _pmf_table, _row_blocks
 from .special import _require_count, _require_positive, ln_gamma
 
 
@@ -116,8 +114,15 @@ def nb_mean_bruteforce(lam: float, alpha: float,
 
 
 def sample_counts(lam, theta: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw NB2 counts for a vector of means from an existing generator."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    """Draw NB2 counts for a 1-D array of means from an existing generator.
+
+    Every Gamma variate is drawn and checked before any count.  The counts
+    are then drawn block by block, in the order of one rng.poisson call,
+    into an int64 view of the Poisson means, each block replacing the means
+    it was drawn from."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim != 1:
+        raise DomainError(f"lam must be one-dimensional, not of shape {lam.shape}")
     if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
         raise DomainError("lam must be positive and finite")
     theta = _require_positive(theta, "theta")
@@ -127,4 +132,7 @@ def sample_counts(lam, theta: float, rng: np.random.Generator) -> np.ndarray:
     if np.any(mean > _POISSON_LAM_MAX):
         raise DomainError(f"Poisson mean lam*u = {float(mean.max())!r} exceeds "
                           f"the sampler's limit {_POISSON_LAM_MAX!r}")
-    return rng.poisson(mean).astype(np.int64, copy=False)
+    counts = mean.view(np.int64)
+    for s in _row_blocks(len(mean)):
+        counts[s] = rng.poisson(mean[s])
+    return counts

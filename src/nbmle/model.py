@@ -53,6 +53,8 @@ MAX_LINEAR_PREDICTOR = 700.0
 
 DEFAULT_EPS_TAIL = 1e-12
 TRUNCATION_HARD_CAP = 10_000_000
+# Version of the JSON payload schema shared by every CLI command.
+SCHEMA_VERSION = 1
 
 # Rows per block of the O(n) reductions in loglik and derivatives.grad_hess,
 # so that a block's temporaries stay in cache.  A constant: the blocks, and

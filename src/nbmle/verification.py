@@ -20,10 +20,8 @@ from .derivatives import finite_diff, grad_hess
 from .fisher import expected_info_theta, expected_trigamma_tail
 from .identities import IdentityId
 from .mixture import mixture_pmf, nb_mean_bruteforce, sample_counts
-from .model import DEFAULT_EPS_TAIL, Dataset, Params, link_mean, nb_pmf
-
-# Version of the JSON payload schema shared by every CLI command.
-SCHEMA_VERSION = 1
+from .model import (
+    DEFAULT_EPS_TAIL, SCHEMA_VERSION, Dataset, Params, link_mean, nb_pmf)
 
 _VERIFY_LAMBDA_GRID = (0.5, 1.0, 5.0)
 _VERIFY_ALPHA_GRID = (0.5, 1.0, 2.0, 10.0)

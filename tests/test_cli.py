@@ -13,8 +13,9 @@ import pytest
 
 import nbmle
 from nbmle import cli
-from nbmle.cli import CliInputError, ingest_csv, main, run_verification
+from nbmle.cli import CliInputError, ingest_csv, main
 from nbmle.model import BLOCK_ROWS
+from nbmle.verification import run_verification
 
 
 def run(args):
@@ -479,6 +480,27 @@ class TestSimulate:
         assert hashlib.sha256(path.read_bytes()).hexdigest() \
             == self.MULTI_BLOCK_SHA256
 
+    # No regressor columns, so each block's redraw draws nothing; three full
+    # blocks and five rows more.  The digest was recorded before the
+    # regressors were drawn block by block.
+    INTERCEPT_ONLY = ["simulate", "--beta", 0.7, "--theta", 0.5,
+                      "--n", 3 * BLOCK_ROWS + 5, "--seed", 5]
+    INTERCEPT_ONLY_SHA256 = (
+        "872d79ca48d1447e45b201d8e0b0a53abbca0a15a86c61c6b813a3992615f4d0")
+
+    def test_intercept_only_bytes_pinned(self, tmp_path, monkeypatch):
+        path = tmp_path / "i.csv"
+        assert run(self.INTERCEPT_ONLY + ["--output", path]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() \
+            == self.INTERCEPT_ONLY_SHA256
+        assert path.read_text().startswith("y\n")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+        assert run(self.INTERCEPT_ONLY + ["--output", path]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() \
+            == self.INTERCEPT_ONLY_SHA256
+
     def test_one_block_starts_no_pool(self, tmp_path, monkeypatch):
         monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
         simulate_to(tmp_path, n=2000, seed=42)
@@ -894,8 +916,9 @@ class TestContract:
 
 
 class TestMemory:
-    """At n = 200,000, p = 4, ingest and simulate's draw hold their n-row
-    data and block scratch, measured by tracemalloc's peak."""
+    """At n = 200,000, p = 4, ingest holds its n-row data and block
+    scratch, and simulate at most two n-vectors and block scratch, measured
+    by tracemalloc's peak."""
 
     BIG = dict(beta="0.0,0.3,-0.2,0.25", theta=0.5, n=200_000, seed=1)
 
@@ -931,24 +954,49 @@ class TestMemory:
     def test_simulate_draw_holds_no_design(self, monkeypatch):
         import tracemalloc
 
+        import nbmle.mixture
+
         class Drawn(Exception):
             pass
 
         def traced(lam, theta, rng):
             raise Drawn(tracemalloc.get_traced_memory()[1])
 
-        monkeypatch.setattr(cli, "sample_counts", traced)
-        n, p = self.BIG["n"], 4
+        monkeypatch.setattr(nbmle.mixture, "sample_counts", traced)
+        n = self.BIG["n"]
+        args = ["simulate", "--beta", self.BIG["beta"], "--theta", 0.5,
+                "--seed", 1, "--n"]
+        with pytest.raises(Drawn):  # what a first run imports, untraced
+            run(args + [1])
         tracemalloc.start()
         try:
             with pytest.raises(Drawn) as drawn:
-                run(["simulate", "--beta", self.BIG["beta"], "--theta", 0.5,
-                     "--n", n, "--seed", 1])
+                run(args + [n])
         finally:
             tracemalloc.stop()
-        # The regressors and the means, and less than one more n-vector:
-        # an n x p design would take p of them.
-        assert drawn.value.args[0] < 8 * n * ((p - 1) + 2)
+        # The means and one block's scratch: the regressors, 8n per
+        # column, are drawn, used and dropped block by block.
+        assert drawn.value.args[0] < 8 * n + 2e6
+
+    def test_simulate_holds_two_vectors(self, tmp_path, monkeypatch):
+        """The whole command on one usable CPU, where tracemalloc sees the
+        formatting too: the means and the Gamma draws at once, then only the
+        counts, which replace the means they were drawn from."""
+        import tracemalloc
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+        n = self.BIG["n"]
+        simulate_to(tmp_path, **dict(self.BIG, n=1))  # imports, untraced
+        tracemalloc.start()
+        try:
+            simulate_to(tmp_path, **self.BIG)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n + 4e6
+
 
 class TestDeterminism:
     def test_verify_payload_deterministic(self):
@@ -968,3 +1016,18 @@ class TestDependencies:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_cli_import_loads_only_what_every_command_runs(self):
+        """The commands import the estimator, the Fisher blocks, the sampler
+        and verify when they run; the package resolves its exports lazily."""
+        code = ("import sys, nbmle.cli; "
+                "print(sorted(m for m in sys.modules if m in {'nbmle.' + k for k "
+                "in ('verification', 'identities', 'mixture', 'estimator')})); "
+                "from nbmle import fit, mixture_pmf, grad_hess; "
+                "print(fit.__module__, mixture_pmf.__module__, grad_hess.__module__)")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(nbmle.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines() == [
+            "[]", "nbmle.estimator nbmle.mixture nbmle.derivatives"]

@@ -11,7 +11,8 @@ from nbmle import (
     nb_pmf,
 )
 import nbmle.mixture
-from nbmle.mixture import sample_counts
+from nbmle.mixture import _POISSON_LAM_MAX, sample_counts
+from nbmle.model import BLOCK_ROWS
 from oracles import gamma_density, nb_variance_bruteforce, poisson_pmf
 
 
@@ -186,3 +187,37 @@ class TestSampler:
     def test_domain(self):
         with pytest.raises(DomainError):
             sample_nb(0.0, 1.0, seed=1, n=10)
+
+    def test_blocks_draw_one_call_stream(self):
+        """Counts drawn block by block over the means' own buffer equal one
+        rng.poisson call over all the means, from a twin generator."""
+        n, theta = 3 * BLOCK_ROWS + 5, 0.5
+        lam = np.exp(np.random.default_rng(3).standard_normal(n))
+        rng, twin = np.random.default_rng(8), np.random.default_rng(8)
+        counts = sample_counts(lam, theta, rng)
+        mean = twin.gamma(shape=1.0 / theta, scale=theta, size=n) * lam
+        expected = twin.poisson(mean)
+        assert counts.dtype == np.int64
+        np.testing.assert_array_equal(counts, expected)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_sampler_limit_checked_before_any_count(self):
+        """A Poisson mean past the sampler's limit in the last row is refused
+        after the Gamma draws and before the first count is drawn."""
+        n, theta = 3 * BLOCK_ROWS + 5, 0.5
+        lam = np.ones(n)
+        lam[-1] = 1e300
+        rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+        with pytest.raises(DomainError, match="exceeds the sampler's limit"):
+            sample_counts(lam, theta, rng)
+        mean = twin.gamma(shape=1.0 / theta, scale=theta, size=n) * lam
+        assert mean[-1] > _POISSON_LAM_MAX
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("lam", [2.0, [[1.0, 2.0]], np.ones((3, 1))])
+    def test_refuses_means_that_are_not_one_dimensional(self, lam):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(DomainError, match="one-dimensional"):
+            sample_counts(lam, 0.5, rng)
+        assert rng.bit_generator.state == state
