@@ -14,11 +14,13 @@ field; TEXT output renders the same numbers to 12 significant digits.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import csv
 import json
 import math
 import os
+import pickle
 import sys
 import warnings
 from array import array
@@ -27,13 +29,9 @@ from itertools import islice
 import numpy as np
 
 from .exceptions import (
-    AllZeroResponseError,
-    CollinearColumnsError,
-    DomainError,
-    LinearPredictorOverflow,
-    QuadratureConvergenceError,
-    TruncationCapExceeded,
-)
+    AllZeroResponseError, CollinearColumnsError, DomainError,
+    LinearPredictorOverflow, QuadratureConvergenceError,
+    TruncationCapExceeded)
 from .model import (
     DEFAULT_EPS_TAIL, SCHEMA_VERSION, Dataset, Params, _row_blocks, link_mean)
 from .workers import Workers, shared_empty, usable_cpus
@@ -129,11 +127,11 @@ def _read(path: str, response_column: str, lead: int,
         with Workers() as workers:
             return _read(path, response_column, lead, workers)
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        # Read by readline, so that tell() can mark where the body starts.
-        header = next((r for r in csv.reader(iter(fh.readline, "")) if r), None)
+        read = []  # the header's lines, whose bytes end where the body starts
+        header = next((r for r in csv.reader(
+            read.append(line) or line for line in iter(fh.readline, "")) if r), None)
         if header is None:
             raise CliInputError(f"{path}: empty file")
-        body_start = fh.tell()
     header = [h.strip() for h in header]
     if response_column not in header:
         raise CliInputError(f"{path}: response column {response_column!r} "
@@ -143,6 +141,7 @@ def _read(path: str, response_column: str, lead: int,
     cpus = usable_cpus()
     with open(path, "rb") as raw:
         size = os.fstat(raw.fileno()).st_size
+        body_start = len("".join(read).encode()) + 3 * (raw.read(3) == codecs.BOM_UTF8)
         raw.seek(body_start)
         lines, quoted, numpy_ok, cuts = _scan(raw, [
             body_start + k * (size - body_start) // cpus for k in range(1, cpus)])
@@ -172,20 +171,22 @@ def _read(path: str, response_column: str, lead: int,
     return names, y[:n], X[:n]
 
 
-def _scan(raw, targets: list):
+def _scan(raw, targets: list, eol: int = 10):
     """(lines, whether a quote occurs, whether numpy may parse it, cuts) of
     raw, a binary file, from its position on.  cuts[k] is (byte, lines
-    before it) just past the first \\n at or past byte targets[k] after which
-    the quotes are even in number, as only a quoted cell spans lines; there
-    are none if a lone \\r ends a line.
+    before it) just past the first line end at or past byte targets[k]
+    after which the quotes are even in number, as only a quoted cell spans
+    lines.  Lines end at eol: \n, or \r in a file with no \n, which is
+    scanned again for it; a file with both and a lone \r has no cuts.
     """
-    lines, lone_cr, quotes, numpy_ok, pos, cuts = 0, 0, 0, True, raw.tell(), []
-    block = b""  # each ends at a \\n, so that none splits a \\r\\n
+    start = raw.tell()
+    lines, lone_cr, quotes, numpy_ok, pos, cuts = 0, 0, 0, True, start, []
+    block = b""  # each ends at a \n, so that none splits a \r\n
     for block in iter(lambda: raw.read(1 << 20) + raw.readline(1 << 20), b""):
         numpy_ok = numpy_ok and not any(c in block for c in _NUMPY_ONLY_SPACE)
         lone_cr += block.count(b"\r") - block.count(b"\r\n") if b"\r" in block else 0
         buf = np.frombuffer(block, np.uint8)
-        nl = buf == 10
+        nl = buf == eol
         quote = buf == 34 if quotes or b'"' in block else None
         if len(cuts) < len(targets) and targets[len(cuts)] < pos + len(block):
             ends = np.flatnonzero(nl)
@@ -200,8 +201,12 @@ def _scan(raw, targets: list):
         quotes += 0 if quote is None else int(np.count_nonzero(quote))
         pos += len(block)
         del nl, quote  # so the next masks reuse, not fault in, the memory
-    lines += lone_cr + (block[-1:] not in b"\r\n")  # the last line, unended
-    return lines, quotes > 0, numpy_ok, [] if lone_cr else cuts
+    if eol == 10 and lone_cr and not lines:
+        raw.seek(start)
+        return _scan(raw, targets, 13)
+    mixed = eol == 10 and lone_cr
+    lines += (lone_cr if mixed else 0) + (block[-1:] not in b"\r\n")  # unended
+    return lines, quotes > 0, numpy_ok, [] if mixed else cuts
 
 
 def _parse_range(state, rng, body, first_row: int = 0) -> int:
@@ -281,10 +286,9 @@ def _parse_rows(path: str, lines, header: list, y_col: int, first_row: int):
                 raise CliInputError(f"{path}: non-numeric cell at row {r}, "
                                     f"column {header[j]!r}: {cell!r}") from None
         if not _is_response(parsed[y_col]):
-            raise CliInputError(
-                f"{path}: response must be a non-negative integer; got "
-                f"{row[y_col]!r} at row {r}, column {header[y_col]!r}"
-            )
+            raise CliInputError(f"{path}: response must be a non-negative "
+                                f"integer; got {row[y_col]!r} at row {r}, "
+                                f"column {header[y_col]!r}")
         values.extend(parsed)
     return np.frombuffer(values).reshape(-1, len(header))
 
@@ -320,13 +324,8 @@ def _fit_payload(res, names) -> dict:
     if se is not None:
         ests = list(res.beta_hat) + [res.theta_hat]
         z = [e / s if s > 0 else math.nan for e, s in zip(ests, se)]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fit",
-        "names": list(names) + ["theta"],
-        **res.to_dict(),
-        "z_ratios": z,
-    }
+    return {"schema_version": SCHEMA_VERSION, "command": "fit",
+            "names": list(names) + ["theta"], **res.to_dict(), "z_ratios": z}
 
 
 def _render_fit_text(payload: dict) -> str:
@@ -347,11 +346,8 @@ def _render_fit_text(payload: dict) -> str:
     lines.append(f"information: {payload['info']['kind']}")
     trunc = payload["info"]["truncation"]
     if trunc is not None:
-        lines.append(
-            "truncation: max_cutoff=%d max_tail_bound=%s chosen=%s"
-            % (max(trunc["cutoffs"]), _fmt(max(trunc["tail_bounds"])),
-               trunc["chosen"])
-        )
+        lines.append("truncation: max_cutoff=%d max_tail_bound=%s chosen=%s" % (
+            max(trunc["cutoffs"]), _fmt(max(trunc["tail_bounds"])), trunc["chosen"]))
     if payload["message"]:
         lines.append(f"note: {payload['message']}")
     return "\n".join(lines) + "\n"
@@ -360,11 +356,8 @@ def _render_fit_text(payload: dict) -> str:
 def cmd_fit(args: argparse.Namespace) -> int:
     from .estimator import FitOptions, fit  # before the fork, as workers run it
     from .fisher import InfoKind
-    opts = FitOptions(
-        max_iter=args.max_iter,
-        info_kind=InfoKind(args.info),
-        eps_tail=args.eps_tail,
-    )
+    opts = FitOptions(max_iter=args.max_iter, info_kind=InfoKind(args.info),
+                      eps_tail=args.eps_tail)
     with Workers() as workers:
         ds = ingest_csv(args.input, args.response, args.no_intercept, workers)
         res = fit(ds, opts)
@@ -376,40 +369,70 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _format_block(state, task) -> str:
-    """CSV rows of one block, task = (rows, generator state before they
-    were drawn), with (y, k) = state: str of each count, then repr of each
-    of the k regressors, drawn again from that state, as PCG64 keeps no
-    draw buffered.  The bytes do not depend on who formats the block."""
-    (y, k), (s, saved) = state, task
-    bits = np.random.PCG64()
-    bits.state = saved
-    Z = np.random.Generator(bits).standard_normal((s.stop - s.start, k))
-    cols = [map(str, y[s].tolist())] + [map(repr, c) for c in Z.T.tolist()]
-    return "\n".join(map(",".join, zip(*cols))) + "\n"
+def _design(s: slice, z_state, beta) -> np.ndarray:
+    """The intercept, then the regressors of rows s drawn from z_state."""
+    from .mixture import generator
+    Z = generator(z_state).standard_normal((s.stop - s.start, len(beta) - 1))
+    return np.hstack([np.ones((len(Z), 1)), Z])
+
+
+def _pass_baton(baton, k: int, state) -> None:
+    """Hand the Poisson generator state to block k, baton[0]."""
+    data = np.frombuffer(pickle.dumps(state), np.uint8)
+    baton[1:].view(np.uint8)[:len(data)] = data
+    baton[0] = k
+
+
+def _format_block(state, task) -> bytes:
+    """CSV rows of block k, task = (k, rows, the generator states before its
+    regressors and its Gamma variates), state = (beta, theta, baton, turn):
+    str of each count, then repr of each regressor, all drawn again.  Block
+    k draws its counts when it holds the baton, which the block before
+    passes on with the Poisson state it left: the bytes are the same
+    whoever formats the block."""
+    from .mixture import block_counts, generator
+    (beta, theta, baton, turn), (k, s, z_state, gamma_state) = state, task
+    X = _design(s, z_state, beta)
+    lam = link_mean(X, beta, s.start).lam
+    with turn:
+        turn.wait_for(lambda: baton[0] == k)
+        rng = generator(pickle.loads(baton[1:].tobytes()))
+        y = block_counts(lam, theta, gamma_state, rng)
+        _pass_baton(baton, k + 1, rng.bit_generator.state)
+        turn.notify_all()
+    cols = [map(str, y.tolist())] + [map(repr, c) for c in X[:, 1:].T.tolist()]
+    return ("\n".join(map(",".join, zip(*cols))) + "\n").encode()
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .mixture import sample_counts
+    import multiprocessing
+
+    from .mixture import gamma_states
     beta = np.array(args.beta, dtype=float)
-    p = len(beta)
     rng = np.random.default_rng(args.seed)
-    lam = np.empty(args.n)  # block by block: no n-row regressors are held
-    tasks = []
+    blocks, z_states = [], {}  # only generator states are kept
     for s in _row_blocks(args.n):
-        tasks.append((s, rng.bit_generator.state))
-        Z = rng.standard_normal((s.stop - s.start, p - 1))
-        lam[s] = link_mean(np.hstack([np.ones((len(Z), 1)), Z]), beta, s.start).lam
-    y = sample_counts(lam, args.theta, rng)
-    del lam, Z  # freed before any worker is forked
-    header = [args.response] + [f"x{j}" for j in range(1, p)]
+        z_states[s.start] = rng.bit_generator.state
+        X = np.hstack([np.ones((s.stop - s.start, 1)),
+                       rng.standard_normal((s.stop - s.start, len(beta) - 1))])
+        blocks.append((s, link_mean(X, beta, s.start).lam.max()))
+    del X
+    gammas = gamma_states(lambda s: link_mean(_design(s, z_states[s.start], beta),
+                                              beta, s.start).lam,
+                          blocks, args.theta, rng)
+    tasks = [(k, s, z_states[s.start], g)
+             for k, ((s, _), g) in enumerate(zip(blocks, gammas))]
+    baton, turn = shared_empty(64, np.int64), multiprocessing.Condition()
+    _pass_baton(baton, 0, rng.bit_generator.state)
+    header = [args.response] + [f"x{j}" for j in range(1, len(beta))]
     # The workers start before anything is written, so none inherits an
-    # unflushed output buffer; they hold y from the fork.
+    # unflushed output buffer.
     with Workers() as workers:
-        workers.fork((y, p - 1), len(tasks))
+        workers.fork((beta, args.theta, baton, turn), len(tasks))
         with _output(args) as out:
             out.write(",".join(header) + "\n")
-            out.writelines(workers.map(_format_block, tasks))
+            out.flush()  # the blocks' bytes go to the binary layer
+            out.buffer.writelines(workers.map(_format_block, tasks))
     return 0
 
 
@@ -436,13 +459,9 @@ def _render_verify_text(payload: dict) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verification import run_verification
-    payload, ok = run_verification(
-        grid=args.grid,
-        tol_first=args.tol_first,
-        tol_second=args.tol_second,
-        eps_tail=args.eps_tail,
-        seed=args.seed,
-    )
+    payload, ok = run_verification(grid=args.grid, tol_first=args.tol_first,
+                                   tol_second=args.tol_second,
+                                   eps_tail=args.eps_tail, seed=args.seed)
     _write_output(args, payload, _render_verify_text)
     return 0 if ok else 3
 
@@ -457,24 +476,17 @@ def cmd_info(args: argparse.Namespace) -> int:
         ds = ingest_csv(args.input, args.response, args.no_intercept, workers)
         beta = np.array(args.beta, dtype=float)
         if len(beta) != ds.p:
-            raise CliInputError(
-                f"--beta has {len(beta)} coefficients but the design has "
-                f"{ds.p} columns ({', '.join(ds.names)})"
-            )
+            raise CliInputError(f"--beta has {len(beta)} coefficients but the design "
+                                f"has {ds.p} columns ({', '.join(ds.names)})")
         params = Params(beta, args.theta)
         matrices = {}
         if args.info in ("observed", "both"):
             matrices["observed"] = observed_info(ds, params).to_dict()
     if args.info in ("expected", "both"):
         matrices["expected"] = expected_info(ds, params, args.eps_tail).to_dict()
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "info",
-        "names": list(ds.names) + ["theta"],
-        "beta": list(map(float, beta)),
-        "theta": args.theta,
-        "matrices": matrices,
-    }
+    payload = {"schema_version": SCHEMA_VERSION, "command": "info",
+               "names": list(ds.names) + ["theta"], "beta": list(map(float, beta)),
+               "theta": args.theta, "matrices": matrices}
     _write_output(args, payload, _render_info_text)
     return 0
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .exceptions import DomainError
 from .model import Dataset, Params, _loglik_sum, _row_map, link_mean
-from .special import _finite_sum_tables
+from .special import _finite_sum_tables, _table_keys
 
 
 @dataclass(frozen=True)
@@ -103,40 +103,36 @@ def grad_hess(ds: Dataset, p: Params) -> GradHess:
     u = 1.0 / theta
     # Past LARGE_COUNT_SWITCH the tables call trigamma(1/theta), whose own
     # DomainError comes before the range check.
-    (log_u, log_1, weights, recip), keys = _finite_sum_tables(
-        ds.y, ((u, "log"), (1.0, "log"), (u, "weights"), (u, "recip")),
+    log_u, log_1, weights, recip = _finite_sum_tables(
+        ds.y_max, ds.y_distinct,
+        ((u, "log"), (1.0, "log"), (u, "weights"), (u, "recip")),
         check=lambda: _require_finite_range(theta))
-    tables = (log_u - log_1, weights, recip, None if keys is ds.y else keys)
+    tables = (log_u - log_1, weights, recip, ds.y_distinct)
     sums = (0.0, 0.0, 0.0, np.zeros((ds.p, ds.p + 2)))
     for block in _row_map(ds, _block_sums, p.beta, theta, tables):
         sums = [total + part for total, part in zip(sums, block)]
     ll, score_theta, h_tt, cross = sums
     h_bb = -cross[:, 2:]
-    return GradHess(
-        loglik=ll,
-        score_beta=cross[:, 0].copy(),
-        score_theta=score_theta,
-        h_bb=0.5 * (h_bb + h_bb.T),
-        h_bt=-cross[:, 1],
-        h_tt=h_tt,
-    )
+    return GradHess(loglik=ll, score_beta=cross[:, 0].copy(), score_theta=score_theta,
+                    h_bb=0.5 * (h_bb + h_bb.T), h_bt=-cross[:, 1], h_tt=h_tt)
 
 
 def _block_sums(state, blocks, beta, theta: float, tables) -> list:
     """(log-likelihood, score_theta, h_tt, X_b' [a, lam a r, w X_b]) of each
     row block of (y, X) = state, from grad_hess's tables, indexed by the
-    counts or by the last if set.  A block's link is evaluated and its
+    counts or, past LARGE_COUNT_SWITCH, by their place among the distinct
+    counts, the last table.  A block's link is evaluated and its
     largest mean and count range-checked; r = 1/(1+t) and a = (y - lam) r
     are shared by all six sums, and w is the h_bb weight lam (1 + theta y)
     r^2.  The log-likelihood is loglik's."""
     y, X = state
-    log_sums, weights, recip, keys = tables
+    log_sums, weights, recip, distinct = tables
     u = 1.0 / theta
     u2, u3 = u * u, u * u * u
     sums = []
     # Arrays are deleted once spent: one block's scratch is all that is held.
     for s in blocks:
-        key = y[s] if keys is None else keys[s]
+        key = _table_keys(y[s], distinct)
         X_b, y_b = X[s], y[s].astype(float)
         link = link_mean(X_b, beta, s.start)
         lam_b = link.lam

@@ -34,14 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
 from .derivatives import GradHess, grad_hess
 from .exceptions import (
-    AllZeroResponseError,
-    CollinearColumnsError,
-    DomainError,
-    InformationNotInvertible,
-    LinearPredictorOverflow,
-)
+    AllZeroResponseError, CollinearColumnsError, DomainError,
+    InformationNotInvertible, LinearPredictorOverflow)
 from .fisher import InfoKind, InfoMatrix, expected_info, observed_info_from
 from .model import DEFAULT_EPS_TAIL, Dataset, Params, _row_map
 
@@ -85,41 +82,51 @@ class FitResult:
     message: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "beta_hat": list(map(float, self.beta_hat)),
-            "theta_hat": self.theta_hat,
-            "se": None if self.se is None else list(map(float, self.se)),
-            "loglik_at_mle": self.loglik_at_mle,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "boundary_theta": self.boundary_theta,
-            "info": self.info.to_dict(),
-            "loglik_trace": list(self.loglik_trace),
-            "message": self.message,
-        }
+        return {**vars(self), "beta_hat": list(map(float, self.beta_hat)),
+                "se": None if self.se is None else list(map(float, self.se)),
+                "info": self.info.to_dict(), "loglik_trace": list(self.loglik_trace)}
 
 
 def init_params(ds: Dataset) -> Params:
     """Starting values: log-count least squares for beta, method of moments
-    for theta.
+    for theta, from passes over the rows in ds's workers when it has them.
 
     R, the R factor of [X | ln(y + 0.5)], names the collinear columns, and
     beta0 solves R[:p, :p] beta0 = R[:p, p] by least squares, as X beta0 =
     ln(y + 0.5) would.  theta0 = clamp((s^2 - ybar) / ybar^2, 0.01, 100),
     from matching the NB2 variance ybar * (1 + theta * ybar) to the sample
-    variance.
+    variance.  ybar and s^2 are np.mean's and np.var's (ddof=1) bit for
+    bit while the sum of the counts is below 2**53 (see _pairwise).
     """
-    R = _r_factor(ds)
-    p = ds.p
+    R, p = _r_factor(ds), ds.p
     bad = _collinear_columns(R[:p, :p])
     if bad:
         raise CollinearColumnsError([ds.names[j] for j in bad])
     beta0, *_ = np.linalg.lstsq(R[:p, :p], R[:p, p], rcond=None)
-    ybar = float(np.mean(ds.y))
-    s2 = float(np.var(ds.y, ddof=1)) if ds.n > 1 else 0.0
+    ybar, s2 = float(ds.y_total) / ds.n, 0.0
+    if ds.n > 1:  # numpy's pairwise sum, its leaves summed in the workers
+        leaves = []
+        _pairwise(0, ds.n, lambda s: leaves.append(s) or 0.0)
+        sums = iter(_row_map(ds, _square_deviations, ybar, blocks=leaves))
+        s2 = _pairwise(0, ds.n, lambda s: next(sums)) / (ds.n - 1)
     theta0 = (s2 - ybar) / (ybar * ybar) if ybar > 0.0 else 0.01
     theta0 = min(max(theta0, 0.01), 100.0)
     return Params(beta=beta0, theta=theta0)
+
+
+def _pairwise(start: int, m: int, leaf) -> float:
+    """The sum of leaf(s) over the slices s of rows that numpy's pairwise
+    summation of m terms from start cuts, in its order: halves cut at
+    m//2 - m//2 % 8, down to at most BLOCK_ROWS (or numpy's 128) terms,
+    which np.sum of a slice adds as the whole sum does."""
+    if m <= max(model.BLOCK_ROWS, 128):
+        return leaf(slice(start, start + m))
+    half = m // 2 - m // 2 % 8
+    return _pairwise(start, half, leaf) + _pairwise(start + half, m - half, leaf)
+
+
+def _square_deviations(state, leaves, ybar: float) -> list:
+    return [float(np.sum((state[0][s] - ybar) ** 2)) for s in leaves]
 
 
 def _r_factor(ds: Dataset) -> np.ndarray:
@@ -158,11 +165,9 @@ def standard_errors(info: InfoMatrix) -> np.ndarray:
         chol = np.linalg.cholesky(info.m)
     except np.linalg.LinAlgError:
         raise InformationNotInvertible(
-            f"{info.kind.value} information is not positive definite"
-        ) from None
+            f"{info.kind.value} information is not positive definite") from None
     inv_chol = np.linalg.solve(chol, np.eye(info.m.shape[0]))
-    variances = np.sum(inv_chol**2, axis=0)
-    return np.sqrt(variances)
+    return np.sqrt(np.sum(inv_chol**2, axis=0))
 
 
 def _search_gradient(gh: GradHess, theta: float):
@@ -222,10 +227,9 @@ def fit(ds: Dataset, opts: FitOptions | None = None) -> FitResult:
     raised.
     """
     opts = opts or FitOptions()
-    if not np.any(ds.y > 0):
-        raise AllZeroResponseError(
-            "all responses are zero; the dispersion is unidentifiable"
-        )
+    if ds.y_max == 0:
+        raise AllZeroResponseError("all responses are zero; the dispersion is "
+                                   "unidentifiable")
     start = init_params(ds)
     beta = start.beta.copy()
     z_floor = math.log(_THETA_FLOOR)
@@ -279,16 +283,8 @@ def fit(ds: Dataset, opts: FitOptions | None = None) -> FitResult:
         message = (message + "; standard errors unavailable "
                    "(information not positive definite)").lstrip("; ")
 
-    return FitResult(
-        beta_hat=beta,
-        theta_hat=theta_hat,
-        se=se,
-        loglik_at_mle=gh.loglik,
-        iterations=iterations,
-        converged=converged,
-        boundary_theta=boundary,
-        info=info,
-        loglik_trace=tuple(trace),
-        message=message,
-    )
+    return FitResult(beta_hat=beta, theta_hat=theta_hat, se=se,
+                     loglik_at_mle=gh.loglik, iterations=iterations,
+                     converged=converged, boundary_theta=boundary, info=info,
+                     loglik_trace=tuple(trace), message=message)
 

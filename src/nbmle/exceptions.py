@@ -11,10 +11,8 @@ class LinearPredictorOverflow(OverflowError):
     def __init__(self, row: int, value: float):
         self.row = row
         self.value = value
-        super().__init__(
-            f"linear predictor overflows exp() at row {row}: x'beta = {value!r} "
-            f"(|x'beta| must stay <= 700)"
-        )
+        super().__init__(f"linear predictor overflows exp() at row {row}: "
+                         f"x'beta = {value!r} (|x'beta| must stay <= 700)")
 
     def __reduce__(self):  # raised in a worker, unpickled in the command
         return type(self), (self.row, self.value)
@@ -37,9 +35,8 @@ class CollinearColumnsError(ValueError):
 
     def __init__(self, columns):
         self.columns = tuple(columns)
-        super().__init__(
-            "design matrix is singular; collinear column(s): " + ", ".join(self.columns)
-        )
+        super().__init__("design matrix is singular; collinear column(s): "
+                         + ", ".join(self.columns))
 
 
 class AllZeroResponseError(ValueError):

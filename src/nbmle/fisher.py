@@ -37,13 +37,7 @@ import numpy as np
 from .derivatives import GradHess, _theta_bracket, grad_hess
 from .exceptions import DomainError
 from .model import (
-    DEFAULT_EPS_TAIL,
-    Dataset,
-    Params,
-    PmfChunk,
-    _pmf_chunks,
-    link_mean,
-)
+    DEFAULT_EPS_TAIL, Dataset, Params, PmfChunk, _pmf_chunks, link_mean)
 from .special import _SUMMANDS, _require_positive
 
 
@@ -88,11 +82,8 @@ class InfoMatrix:
         object.__setattr__(self, "m", 0.5 * (m + m.T))
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "matrix": self.m.tolist(),
-            "truncation": self.truncation.to_dict() if self.truncation else None,
-        }
+        return {"kind": self.kind.value, "matrix": self.m.tolist(),
+                "truncation": self.truncation.to_dict() if self.truncation else None}
 
 
 def _by_cutoff(cutoffs: np.ndarray):
@@ -192,12 +183,9 @@ def expected_trigamma_tail(lam: float, theta: float,
         d = j + u
         running += (2.0 * j + u) / (d * d)
     return TailExpectation(
-        survivor_at_j=u3 * float(sum_a[0]),
-        survivor_at_j_plus_1=u3 * float(sum_b[0]),
-        double_sum=u3 * float(np.sum(inner * pmf)),
-        cutoff=cutoff,
-        tail_bound=float(chunk.bounds[0]),
-    )
+        survivor_at_j=u3 * float(sum_a[0]), survivor_at_j_plus_1=u3 * float(sum_b[0]),
+        double_sum=u3 * float(np.sum(inner * pmf)), cutoff=cutoff,
+        tail_bound=float(chunk.bounds[0]))
 
 
 def expected_info_theta(ds: Dataset, p: Params,
@@ -238,14 +226,9 @@ def expected_info_theta(ds: Dataset, p: Params,
     else:
         chosen, element = "survivor_at_j", total_a
     report = ThetaTruncationReport(
-        eps_tail=eps_tail,
-        cutoffs=tuple(cutoffs.tolist()),
-        tail_bounds=tuple(bounds.tolist()),
-        survivor_at_j_total=total_a,
-        survivor_at_j_plus_1_total=total_b,
-        brute_force_total=total_bf,
-        chosen=chosen,
-    )
+        eps_tail=eps_tail, cutoffs=tuple(cutoffs.tolist()),
+        tail_bounds=tuple(bounds.tolist()), survivor_at_j_total=total_a,
+        survivor_at_j_plus_1_total=total_b, brute_force_total=total_bf, chosen=chosen)
     return element, report
 
 

@@ -24,16 +24,9 @@ from dataclasses import dataclass, field
 from .derivatives import finite_diff, finite_diff_second
 from .exceptions import DomainError
 from .special import (
-    LARGE_COUNT_SWITCH,
-    _require_count,
-    _require_positive,
-    digamma,
-    ln_gamma,
-    sum_recip_shifted,
-    sum_recip_sq_shifted,
-    sum_trigamma_weights,
-    trigamma,
-)
+    LARGE_COUNT_SWITCH, _require_count, _require_positive, digamma,
+    ln_gamma, sum_recip_shifted, sum_recip_sq_shifted,
+    sum_trigamma_weights, trigamma)
 
 
 class IdentityId(enum.Enum):
@@ -76,12 +69,9 @@ class PairVerdict:
     worst_point: tuple | None
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": "HOLDS" if self.holds else "FAILS",
-            "tol": self.tol,
-            "max_residual": self.max_residual,
-            "worst_point": list(self.worst_point) if self.worst_point else None,
-        }
+        return {"verdict": "HOLDS" if self.holds else "FAILS", "tol": self.tol,
+                "max_residual": self.max_residual,
+                "worst_point": list(self.worst_point) if self.worst_point else None}
 
 
 @dataclass(frozen=True)
@@ -96,14 +86,11 @@ class IdentityReport:
     invalid_points: tuple = field(default=())
 
     def to_dict(self) -> dict:
-        return {
-            "identity": self.identity.value,
-            "grid": [list(pt) for pt in self.grid],
-            "values": [dict(v) for v in self.values],
-            "residuals": [dict(r) for r in self.residuals],
-            "verdicts": {k: v.to_dict() for k, v in self.verdicts.items()},
-            "invalid_points": [list(pt) for pt in self.invalid_points],
-        }
+        return {"identity": self.identity.value, "grid": [list(pt) for pt in self.grid],
+                "values": [dict(v) for v in self.values],
+                "residuals": [dict(r) for r in self.residuals],
+                "verdicts": {k: v.to_dict() for k, v in self.verdicts.items()},
+                "invalid_points": [list(pt) for pt in self.invalid_points]}
 
 
 def _evaluate(identity, grid, point_fn, pair_tols):

@@ -17,7 +17,8 @@ alpha ln alpha - ln Gamma(alpha)) are evaluated once per call, not once
 per node.
 
 The sampler draws u ~ Gamma(alpha, rate=alpha) then y ~ Poisson(lam * u)
-from numpy's PCG64 generator, so a seed pins the exact output stream.
+from numpy's PCG64 generator, block by block in the stream of one call of
+each, so a seed pins the exact output stream and no n-row array is held.
 """
 
 from __future__ import annotations
@@ -100,8 +101,7 @@ def mixture_pmf(y: int, lam: float, alpha: float) -> float:
     raise QuadratureConvergenceError(
         f"mixing integral did not converge for y={y}, lam={lam}, "
         f"alpha={alpha} within {_MAX_HALVINGS} halvings",
-        achieved_tol=abs(total - previous) / max(abs(total), 1e-300),
-    )
+        achieved_tol=abs(total - previous) / max(abs(total), 1e-300))
 
 
 def nb_mean_bruteforce(lam: float, alpha: float,
@@ -114,25 +114,51 @@ def nb_mean_bruteforce(lam: float, alpha: float,
 
 
 def sample_counts(lam, theta: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw NB2 counts for a 1-D array of means from an existing generator.
-
-    Every Gamma variate is drawn and checked before any count.  The counts
-    are then drawn block by block, in the order of one rng.poisson call,
-    into an int64 view of the Poisson means, each block replacing the means
-    it was drawn from."""
+    """Draw NB2 counts for a 1-D array of means from an existing generator,
+    in the stream of one rng.gamma call, then one rng.poisson call."""
     lam = np.asarray(lam, dtype=float)
     if lam.ndim != 1:
         raise DomainError(f"lam must be one-dimensional, not of shape {lam.shape}")
     if np.any(lam <= 0.0) or not np.all(np.isfinite(lam)):
         raise DomainError("lam must be positive and finite")
-    theta = _require_positive(theta, "theta")
-    alpha = 1.0 / theta
-    mean = rng.gamma(shape=alpha, scale=theta, size=lam.shape)
-    mean *= lam  # in place: the Poisson means lam * u
-    if np.any(mean > _POISSON_LAM_MAX):
-        raise DomainError(f"Poisson mean lam*u = {float(mean.max())!r} exceeds "
-                          f"the sampler's limit {_POISSON_LAM_MAX!r}")
-    counts = mean.view(np.int64)
-    for s in _row_blocks(len(mean)):
-        counts[s] = rng.poisson(mean[s])
+    blocks = [(s, lam[s].max()) for s in _row_blocks(len(lam))]
+    counts = np.empty(len(lam), np.int64)
+    states = gamma_states(lambda s: lam[s], blocks, theta, rng)
+    for (s, _), state in zip(blocks, states):
+        counts[s] = block_counts(lam[s], theta, state, rng)
     return counts
+
+
+def generator(state) -> np.random.Generator:
+    """A Generator that draws what one in the saved PCG64 state drew next."""
+    bits = np.random.PCG64(0)  # the seed is overwritten
+    bits.state = state
+    return np.random.Generator(bits)
+
+
+def gamma_states(lam_of, blocks, theta: float, rng) -> list:
+    """The generator state before each block's Gamma variates, drawn block
+    by block as one rng.gamma call over all rows would.  blocks lists (s,
+    the largest mean of rows s) for consecutive slices from row 0; lam_of(s)
+    gives the means of rows s where the largest variate times the largest
+    mean passes the Poisson sampler's limit.  A Poisson mean past it raises
+    DomainError once every variate is drawn; block_counts draws the counts.
+    """
+    theta = _require_positive(theta, "theta")
+    states, top = [], 0.0
+    for s, lam_top in blocks:
+        states.append(rng.bit_generator.state)
+        u = rng.gamma(shape=1.0 / theta, scale=theta, size=s.stop - s.start)
+        if float(u.max()) * lam_top > _POISSON_LAM_MAX:  # else no mean is
+            top = max(top, float((u * lam_of(s)).max()))
+    if top > _POISSON_LAM_MAX:
+        raise DomainError(f"Poisson mean lam*u = {top!r} exceeds "
+                          f"the sampler's limit {_POISSON_LAM_MAX!r}")
+    return states
+
+
+def block_counts(lam_b, theta: float, gamma_state, rng) -> np.ndarray:
+    """Counts of means lam_b drawn from rng, the Gamma variates again."""
+    mean = generator(gamma_state).gamma(1.0 / theta, theta, len(lam_b))
+    mean *= lam_b  # in place: the Poisson means lam * u
+    return rng.poisson(mean)

@@ -34,18 +34,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import (
-    DomainError,
-    LinearPredictorOverflow,
-    TruncationCapExceeded,
-)
+from .exceptions import DomainError, LinearPredictorOverflow, TruncationCapExceeded
 from .special import (
-    _finite_sum_tables,
-    _require_count,
-    _require_positive,
-    ln_gamma,
-    sum_log_shifted,
-)
+    LARGE_COUNT_SWITCH, _finite_sum_tables, _table_keys, _require_count,
+    _require_positive, ln_gamma, sum_log_shifted)
 
 # exp() overflows double precision just above 709, and an exp() this large
 # poisons the likelihood silently; fail loudly instead.
@@ -64,7 +56,9 @@ BLOCK_ROWS = 1 << 14
 
 @dataclass(frozen=True)
 class Dataset:
-    """Response counts plus design matrix.
+    """Response counts plus design matrix.  Its O(n) passes, these checks
+    included, run block by block in its workers, if any (_row_map): the
+    process that holds it reads no n-row array.
 
     Attributes:
         y: integer counts, length n.
@@ -72,13 +66,18 @@ class Dataset:
             first column is an all-ones intercept unless disabled.
         names: p column labels.
         workers: the nbmle.workers.Workers whose state leads with y and X
-            and that run the O(n) passes (_row_map); None to run them here.
+            and that run the O(n) passes; None to run them here.
+        y_max, y_total: the largest count and the exact sum of the counts.
+        y_distinct: past special.LARGE_COUNT_SWITCH, the distinct counts.
     """
 
     y: np.ndarray
     X: np.ndarray
     names: tuple = ()
     workers: object = field(default=None, compare=False, repr=False)
+    y_max: int = field(init=False, compare=False, repr=False)
+    y_total: int = field(init=False, compare=False, repr=False)
+    y_distinct: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         y = np.asarray(self.y)
@@ -87,31 +86,34 @@ class Dataset:
             raise DomainError("y must be one-dimensional")
         if X.ndim != 2:
             raise DomainError("X must be two-dimensional")
-        if not np.all(np.isfinite(y)):
-            raise DomainError("y contains non-finite entries")
-        if np.any(y < 0) or (y.dtype.kind == "f" and np.any(y != np.floor(y))):
-            raise DomainError("y must contain non-negative integers")
-        object.__setattr__(self, "X", X)
-        ranges = _row_map(self, _column_ranges)  # in the workers, if any
-        if not all(r[0] for r in ranges):
-            raise DomainError("X contains non-finite entries")
         n, p = X.shape
         if len(y) != n:
             raise DomainError(f"y has {len(y)} rows but X has {n}")
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "X", X)
+        blocks = _row_map(self, _block_summaries)  # in the workers, if any
+        for k, words in enumerate(("y contains non-finite entries",
+                                   "y must contain non-negative integers",
+                                   "X contains non-finite entries")):
+            if not all(b[k] for b in blocks):
+                raise DomainError(words)
         if not (n >= p >= 1):
             raise DomainError(f"need n >= p >= 1, got n={n}, p={p}")
-        constant_cols = [j for j in range(p) if min(r[1][j] for r in ranges)
-                         == max(r[2][j] for r in ranges)]
+        constant_cols = np.flatnonzero(np.min([b[5] for b in blocks], axis=0)
+                                       == np.max([b[6] for b in blocks], axis=0))
         if len(constant_cols) > 1:
-            raise DomainError(
-                f"columns {constant_cols} are all constant; at most one "
-                f"(the intercept) is allowed"
-            )
+            raise DomainError(f"columns {constant_cols.tolist()} are all constant; "
+                              f"at most one (the intercept) is allowed")
         names = tuple(self.names) if self.names else tuple(f"x{j}" for j in range(p))
         if len(names) != p:
             raise DomainError(f"got {len(names)} names for {p} columns")
-        object.__setattr__(self, "y", y.astype(np.int64, copy=False))
-        object.__setattr__(self, "names", names)
+        y_max = max(b[3] for b in blocks)
+        for name, value in (("y", y.astype(np.int64, copy=False)), ("names", names),
+                            ("y_max", y_max), ("y_total", sum(b[4] for b in blocks)),
+                            ("y_distinct", np.unique(np.concatenate(_row_map(
+                                self, _distinct_counts))) if y_max > LARGE_COUNT_SWITCH
+                             else None)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -190,10 +192,11 @@ def _row_blocks(n: int) -> list:
     return [slice(s, min(s + BLOCK_ROWS, n)) for s in range(0, n, BLOCK_ROWS)]
 
 
-def _row_map(ds: Dataset, fn, *args):
+def _row_map(ds: Dataset, fn, *args, blocks=None):
     """The per-block results of fn(state, blocks, *args) in block order, fn
-    run on consecutive _row_blocks per worker of ds.workers, or here."""
-    blocks = _row_blocks(ds.n)
+    run on consecutive blocks (by default _row_blocks) per worker of
+    ds.workers, or here."""
+    blocks = _row_blocks(ds.n) if blocks is None else blocks
     if ds.workers is None:
         return fn((ds.y, ds.X), blocks, *args)
     k = ds.workers.count
@@ -202,11 +205,27 @@ def _row_map(ds: Dataset, fn, *args):
             for r in run]
 
 
-def _column_ranges(state, blocks) -> list:
-    """(X is all finite, column minima, column maxima) per row block."""
-    X, cols = state[1], range(state[1].shape[1])
-    return [(bool(np.isfinite(X[s]).all()), [X[s][:, j].min() for j in cols],
-             [X[s][:, j].max() for j in cols]) for s in blocks]
+def _block_summaries(state, blocks) -> list:
+    """Per row block of (y, X) = state: (y is all finite, y holds only
+    non-negative integers, X is all finite, the largest count, the exact
+    sum of the counts, X's column minima, its column maxima)."""
+    (y, X), out = state, []
+    for s in blocks:
+        y_b, X_b = y[s], X[s]
+        ints = y_b.dtype.kind in "iub"  # checked with no float copy
+        finite = ints or bool(np.isfinite(y_b).all())
+        whole = ints or bool(np.all(y_b == np.floor(y_b)))
+        counts = finite and whole and bool(y_b.min() >= 0)
+        c = y_b.astype(np.int64, copy=False) if counts else np.zeros(1, np.int64)
+        top = int(c.max())  # an int64 sum is exact below 2**63
+        out.append((finite, counts, bool(np.isfinite(X_b).all()), top,
+                    int(c.sum()) if top < 2 ** 63 // len(c) else sum(c.tolist()),
+                    X_b.min(axis=0), X_b.max(axis=0)))
+    return out
+
+
+def _distinct_counts(state, blocks) -> list:
+    return [np.unique(state[0][s]) for s in blocks]
 
 
 def _loglik_sum(y: np.ndarray, eta: np.ndarray, theta: float,
@@ -223,14 +242,15 @@ def loglik(ds: Dataset, p: Params) -> float:
 
     Summed block by block over _row_blocks, in order."""
     theta = p.theta
-    (log_u, log_1), keys = _finite_sum_tables(ds.y, ((1.0 / theta, "log"),
-                                                      (1.0, "log")))
+    log_u, log_1 = _finite_sum_tables(ds.y_max, ds.y_distinct,
+                                      ((1.0 / theta, "log"), (1.0, "log")))
     log_sums = log_u - log_1
     ll = 0.0
     for s in _row_blocks(ds.n):
         link = link_mean(ds.X[s], p.beta, s.start)
         ll += _loglik_sum(ds.y[s].astype(float), link.eta, theta,
-                          np.log1p(theta * link.lam), log_sums[keys[s]])
+                          np.log1p(theta * link.lam),
+                          log_sums[_table_keys(ds.y[s], ds.y_distinct)])
     return ll
 
 

@@ -36,25 +36,11 @@ _ASYMPTOTIC_THRESHOLD = 10.0
 # Bernoulli-number coefficients of the asymptotic expansions, highest kept
 # order chosen so the first omitted term is < 5e-17 at the threshold.
 #   Psi(x):  ln x - 1/(2x) - sum c_k / x^(2k),  c_k = B_2k / (2k)
-_DIGAMMA_SERIES = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-)
+_DIGAMMA_SERIES = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
+                   1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0)
 #   Psi'(x):  1/x + 1/(2x^2) + sum c_k / x^(2k+1),  c_k = B_2k
-_TRIGAMMA_SERIES = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-)
+_TRIGAMMA_SERIES = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0,
+                    5.0 / 66.0, -691.0 / 2730.0, 7.0 / 6.0)
 
 # Counts above this switch the finite sums to the gamma-difference forms.
 LARGE_COUNT_SWITCH = 1_000_000
@@ -160,27 +146,32 @@ def _finite_sums(y: np.ndarray, a: float, kind: str) -> np.ndarray:
     max(y); when a count passes LARGE_COUNT_SWITCH every count takes the
     exact gamma-difference form instead.
     """
-    (table,), keys = _finite_sum_tables(y, ((a, kind),))
-    return table[keys]
+    y_max = int(y.max()) if len(y) else 0
+    distinct = np.unique(y) if y_max > LARGE_COUNT_SWITCH else None
+    (table,) = _finite_sum_tables(y_max, distinct, ((a, kind),))
+    return table[_table_keys(y, distinct)]
 
 
-def _finite_sum_tables(y: np.ndarray, sums, check=lambda: None):
-    """(tables, keys), tables[k][keys] being _finite_sums(y, a, kind) for the
-    k-th (a, kind) in sums: cumulative tables indexed by the counts, or past
-    LARGE_COUNT_SWITCH the gamma forms at the distinct counts.  check() runs
-    after the gamma forms, whose scalar functions check their own range,
-    and before any summand is evaluated.
+def _table_keys(y: np.ndarray, distinct) -> np.ndarray:
+    return y if distinct is None else np.searchsorted(distinct, y)
+
+
+def _finite_sum_tables(y_max: int, distinct, sums, check=lambda: None):
+    """Tables t_k, t_k[_table_keys(y, distinct)] being _finite_sums(y, a,
+    kind) for the k-th (a, kind) in sums, for counts y up to y_max:
+    cumulative tables indexed by the counts, or past LARGE_COUNT_SWITCH the
+    gamma forms at distinct, the sorted distinct counts (else None).
+    check() runs after the gamma forms, whose scalar functions check their
+    own range, and before any summand is evaluated.
     """
-    max_y = int(y.max()) if len(y) else 0
-    if max_y > LARGE_COUNT_SWITCH:
-        uniq, keys = np.unique(y, return_inverse=True)
-        tables = [_GAMMA_FORMS[kind](uniq, a) for a, kind in sums]
+    if y_max > LARGE_COUNT_SWITCH:
+        tables = [_GAMMA_FORMS[kind](distinct, a) for a, kind in sums]
         check()
-        return tables, keys
+        return tables
     check()
-    j = np.arange(max_y, dtype=float)
+    j = np.arange(y_max, dtype=float)
     return [np.concatenate(([0.0], np.cumsum(_SUMMANDS[kind](j, a))))
-            for a, kind in sums], y
+            for a, kind in sums]
 
 
 def _one_count(y: int, a: float, kind: str) -> float:

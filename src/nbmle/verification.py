@@ -131,25 +131,21 @@ def run_verification(grid=None, tol_first: float = 1e-6,
                                   verdict.max_residual, verdict.tol, expected,
                                   worst_point=worst))
 
-    worst_mix = 0.0
-    worst_mean = 0.0
+    worst_mix = worst_mean = 0.0
     for lam in _VERIFY_LAMBDA_GRID:
         for alpha in _VERIFY_ALPHA_GRID:
             worst_mean = max(worst_mean,
                              abs(nb_mean_bruteforce(lam, alpha, eps_tail) - lam))
             for y in range(11):
-                worst_mix = max(
-                    worst_mix, abs(mixture_pmf(y, lam, alpha) - nb_pmf(y, lam, alpha))
-                )
+                worst_mix = max(worst_mix, abs(mixture_pmf(y, lam, alpha)
+                                               - nb_pmf(y, lam, alpha)))
     entries.append(_entry("mixture", "mixture_pmf_vs_closed_form", None,
                           worst_mix, 1e-8, "HOLDS"))
     entries.append(_entry("mixture", "bruteforce_mean_vs_lambda", None,
                           worst_mean, 1e-6, "HOLDS"))
 
-    worst_interchange = 0.0
-    worst_other_conv = math.inf
-    worst_element = 0.0
-    min_element = math.inf
+    worst_interchange = worst_element = 0.0
+    worst_other_conv = min_element = math.inf
     conventions = set()
     for lam in _FISHER_LAMBDA_GRID:
         for theta in _FISHER_THETA_GRID:
@@ -188,13 +184,10 @@ def run_verification(grid=None, tol_first: float = 1e-6,
 
     ok = all(e["verdict"] == "HOLDS" for e in entries if e["expected"] == "HOLDS")
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
-        "seed": seed,
+        "schema_version": SCHEMA_VERSION, "command": "verify", "seed": seed,
         "tolerances": {"sum": identities.TOL_SUM, "first_derivative": tol_first,
                        "second_derivative": tol_second, "eps_tail": eps_tail},
         "entries": entries,
         "identity_reports": {i.value: r.to_dict() for i, r in reports.items()},
-        "all_expected_hold": ok,
-    }
+        "all_expected_hold": ok}
     return payload, ok

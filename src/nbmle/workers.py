@@ -1,4 +1,4 @@
-"""Processes that a command forks once and reuses for its O(n) passes.
+"""Forked processes that run a command's O(n) passes: it holds no n-row array.
 
 Workers.fork starts min(usable CPUs, tasks) of them with a state, whose
 shared_empty arrays they share.  They are forked, not spawned, so they need

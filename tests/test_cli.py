@@ -917,8 +917,8 @@ class TestContract:
 
 class TestMemory:
     """At n = 200,000, p = 4, ingest holds its n-row data and block
-    scratch, and simulate at most two n-vectors and block scratch, measured
-    by tracemalloc's peak."""
+    scratch, and simulate block scratch alone, measured by tracemalloc's
+    peak."""
 
     BIG = dict(beta="0.0,0.3,-0.2,0.25", theta=0.5, n=200_000, seed=1)
 
@@ -959,10 +959,10 @@ class TestMemory:
         class Drawn(Exception):
             pass
 
-        def traced(lam, theta, rng):
+        def traced(lam_of, blocks, theta, rng):
             raise Drawn(tracemalloc.get_traced_memory()[1])
 
-        monkeypatch.setattr(nbmle.mixture, "sample_counts", traced)
+        monkeypatch.setattr(nbmle.mixture, "gamma_states", traced)
         n = self.BIG["n"]
         args = ["simulate", "--beta", self.BIG["beta"], "--theta", 0.5,
                 "--seed", 1, "--n"]
@@ -978,24 +978,23 @@ class TestMemory:
         # column, are drawn, used and dropped block by block.
         assert drawn.value.args[0] < 8 * n + 2e6
 
-    def test_simulate_holds_two_vectors(self, tmp_path, monkeypatch):
+    def test_simulate_holds_no_n_vector(self, tmp_path, monkeypatch):
         """The whole command on one usable CPU, where tracemalloc sees the
-        formatting too: the means and the Gamma draws at once, then only the
-        counts, which replace the means they were drawn from."""
+        formatting too: one block's draws and text, flat in n.  Holding the
+        counts alone would take 8 bytes a row, 3.2 MB here."""
         import tracemalloc
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
-        n = self.BIG["n"]
         simulate_to(tmp_path, **dict(self.BIG, n=1))  # imports, untraced
         tracemalloc.start()
         try:
-            simulate_to(tmp_path, **self.BIG)
+            simulate_to(tmp_path, **dict(self.BIG, n=2 * self.BIG["n"]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * n + 4e6
+        assert peak < 7e6
 
 
 class TestDeterminism:

@@ -114,6 +114,65 @@ class TestInitParams:
             tracemalloc.stop()
         assert peak < ds.X.nbytes
 
+    @staticmethod
+    def _numpy_theta0(y):
+        """theta0 from np.mean and np.var, as init_params once took it."""
+        ybar = float(np.mean(y))
+        s2 = float(np.var(y, ddof=1)) if len(y) > 1 else 0.0
+        theta0 = (s2 - ybar) / (ybar * ybar) if ybar > 0.0 else 0.01
+        return min(max(theta0, 0.01), 100.0)
+
+    @pytest.mark.parametrize("in_workers", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 7, 128, 129, BLOCK_ROWS - 1,
+                                   BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+    def test_theta0_is_numpys_bit_for_bit(self, monkeypatch, n, in_workers):
+        """theta0 comes from sums over blocks, in the workers when there
+        are any, added in the order of numpy's pairwise summation: it is
+        the np.mean/np.var value, which neither reads here."""
+        import os
+
+        from nbmle.workers import Workers, shared_empty
+
+        rng = np.random.default_rng([67, n])
+        y, X = shared_empty(n, np.int64), shared_empty((n, min(n, 2)), float)
+        y[:] = rng.negative_binomial(2.0, 0.3, n)
+        X[:, 0], X[:, 1:] = 1.0, rng.standard_normal((n, X.shape[1] - 1))
+        want = self._numpy_theta0(y)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        with Workers() as workers:
+            if in_workers:
+                workers.fork((y, X), 4)
+            ds = Dataset(y, X, workers=workers if in_workers else None)
+            with monkeypatch.context() as m:
+                for name in ("mean", "var"):
+                    m.setattr(np, name, lambda *a, **k: pytest.fail("read y here"))
+                assert init_params(ds).theta == want
+
+    def test_start_values_hold_no_count_vector(self, monkeypatch):
+        """With workers, init_params' traced allocations here stay below a
+        quarter of the counts: the moments of y are worker sums."""
+        import os
+        import tracemalloc
+
+        from nbmle.workers import Workers, shared_empty
+
+        base = simulate_dataset(59, 200_000, [0.4, 0.3, -0.2, 0.25], 0.7)
+        y, X = shared_empty(base.n, np.int64), shared_empty(base.X.shape, float)
+        y[:], X[:] = base.y, base.X
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        with Workers() as workers:
+            workers.fork((y, X), 2)
+            ds = Dataset(y, X, workers=workers)
+            tracemalloc.start()
+            try:
+                init_params(ds)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < y.nbytes / 4
+
     def test_collinear_design_named(self):
         x = np.linspace(0.0, 1.0, 12)
         X = np.column_stack([np.ones(12), x, 2.0 * x])

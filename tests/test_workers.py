@@ -152,6 +152,74 @@ class TestRanges:
         assert ranges == [4]
 
 
+    @pytest.mark.parametrize("head, sep", [("y,x1\r", "\r"),
+                                           ("\ufeff\ry,x1\r\r", "\r\r")])
+    def test_lone_cr_lines_are_cut_at_cr(self, tmp_path, ranges, head, sep):
+        """A file whose lines a lone \r ends, and no \n, is read in ranges
+        cut at \r, to the Dataset of one range."""
+        path = tmp_path / "d.csv"
+        path.write_bytes((head + sep.join(self.ROWS) + "\r").encode())
+        ds = ingest_csv(str(path))
+        np.testing.assert_array_equal(ds.y, [k % 5 for k in range(40)])
+        np.testing.assert_array_equal(ds.X[:, 1], [k / 4 for k in range(40)])
+        assert ranges == [4]
+
+
+class TestLargeCountPath:
+    """Past LARGE_COUNT_SWITCH the workers place their own counts among the
+    distinct counts, which the Dataset collected: a task carries tables
+    sized by the distinct counts, not by n."""
+
+    @pytest.fixture(scope="class")
+    def data(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("large") / "d.csv"
+        assert run(["simulate", "--beta", "0.1,0.3,-0.2", "--theta", 0.6,
+                    "--n", 3 * BLOCK_ROWS + 5, "--seed", 9,
+                    "--output", path]) == 0
+        lines = path.read_text().splitlines(keepends=True)
+        lines[BLOCK_ROWS + 2] = "1000017" + lines[BLOCK_ROWS + 2][1:]
+        path.write_text("".join(lines))
+        return path
+
+    def test_same_bytes_on_any_cpu_count(self, data, tmp_path, monkeypatch):
+        outputs = []
+        for cpus in (4, 1):
+            with monkeypatch.context() as m:
+                one_cpu(m) if cpus == 1 else many_cpus(m, cpus)
+                out = tmp_path / f"{cpus}.json"
+                assert run(["fit", "--input", data, "--output", out]) == 0
+                outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["converged"]
+
+    @pytest.mark.parametrize("blocks", [2, 6])
+    def test_task_arguments_stay_small(self, monkeypatch, blocks):
+        import pickle
+
+        from nbmle.special import LARGE_COUNT_SWITCH
+
+        many_cpus(monkeypatch)
+        n = blocks * BLOCK_ROWS
+        rng = np.random.default_rng([71, n])
+        y, X = shared_empty(n, np.int64), shared_empty((n, 2), float)
+        y[:] = rng.poisson(3.0, n)
+        y[n // 2] = LARGE_COUNT_SWITCH + 17
+        X[:, 0], X[:, 1] = 1.0, rng.standard_normal(n)
+        sizes, mapped = [], Workers.map
+
+        def recorded(self, fn, tasks, *args):
+            if fn is derivatives._block_sums:
+                sizes.append(len(pickle.dumps(args)))
+            return mapped(self, fn, tasks, *args)
+
+        monkeypatch.setattr(Workers, "map", recorded)
+        with Workers() as workers:
+            workers.fork((y, X), 4)
+            derivatives.grad_hess(Dataset(y, X, workers=workers),
+                                  Params(np.array([1.0, 0.1]), 0.5))
+        assert len(sizes) == 1 and sizes[0] < 20_000
+
+
 class TestSameOutputOnAnyCpuCount:
     """fit and info print the same bytes with one usable CPU, where nothing
     is forked, as with four workers, on 3 row blocks and 5 rows."""
