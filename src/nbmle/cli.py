@@ -34,7 +34,7 @@ from .exceptions import (
     TruncationCapExceeded)
 from .model import (
     DEFAULT_EPS_TAIL, SCHEMA_VERSION, Dataset, Params, _row_blocks, link_mean)
-from .workers import Workers, shared_empty, usable_cpus
+from .workers import Workers, condition, shared_empty, usable_cpus
 
 
 class CliInputError(Exception):
@@ -319,11 +319,9 @@ def _write_output(args: argparse.Namespace, payload: dict, render) -> None:
 # ---------------------------------------------------------------------------
 
 def _fit_payload(res, names) -> dict:
-    se = res.se
-    z = None
-    if se is not None:
-        ests = list(res.beta_hat) + [res.theta_hat]
-        z = [e / s if s > 0 else math.nan for e, s in zip(ests, se)]
+    ests = list(res.beta_hat) + [res.theta_hat]
+    z = None if res.se is None else [e / s if s > 0 else math.nan
+                                     for e, s in zip(ests, res.se)]
     return {"schema_version": SCHEMA_VERSION, "command": "fit",
             "names": list(names) + ["theta"], **res.to_dict(), "z_ratios": z}
 
@@ -369,70 +367,75 @@ def cmd_fit(args: argparse.Namespace) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _design(s: slice, z_state, beta) -> np.ndarray:
-    """The intercept, then the regressors of rows s drawn from z_state."""
-    from .mixture import generator
-    Z = generator(z_state).standard_normal((s.stop - s.start, len(beta) - 1))
-    return np.hstack([np.ones((len(Z), 1)), Z])
+def _design(s: slice, rng, beta) -> tuple:
+    """(X, lam): the intercept, the regressors of rows s drawn from rng, the means."""
+    X = np.hstack([np.ones((s.stop - s.start, 1)),
+                   rng.standard_normal((s.stop - s.start, len(beta) - 1))])
+    return X, link_mean(X, beta, s.start).lam
 
 
 def _pass_baton(baton, k: int, state) -> None:
     """Hand the Poisson generator state to block k, baton[0]."""
     data = np.frombuffer(pickle.dumps(state), np.uint8)
-    baton[1:].view(np.uint8)[:len(data)] = data
+    baton[2:].view(np.uint8)[:len(data)] = data
     baton[0] = k
 
 
-def _format_block(state, task) -> bytes:
-    """CSV rows of block k, task = (k, rows, the generator states before its
-    regressors and its Gamma variates), state = (beta, theta, baton, turn):
-    str of each count, then repr of each regressor, all drawn again.  Block
-    k draws its counts when it holds the baton, which the block before
-    passes on with the Poisson state it left: the bytes are the same
-    whoever formats the block."""
+def _format_block(state, task) -> None:
+    """Write the CSV rows of block k, task = (k, rows, the generator states
+    before its regressors and its Gamma variates), to fd, state = (beta,
+    theta, baton, turn, fd): str of each count, then repr of each regressor,
+    all drawn again.  Block k draws its counts when it holds the baton,
+    which the block before passes on with the Poisson state it left, and
+    writes, not under the lock, when it holds the write turn, baton[1].  fd
+    and its offset are inherited at the fork, so the blocks land in row
+    order in a file and a pipe alike, the same bytes whoever formats them."""
     from .mixture import block_counts, generator
-    (beta, theta, baton, turn), (k, s, z_state, gamma_state) = state, task
-    X = _design(s, z_state, beta)
-    lam = link_mean(X, beta, s.start).lam
+    (beta, theta, baton, turn, fd), (k, s, z_state, gamma_state) = state, task
+    X, lam = _design(s, generator(z_state), beta)
     with turn:
         turn.wait_for(lambda: baton[0] == k)
-        rng = generator(pickle.loads(baton[1:].tobytes()))
+        rng = generator(pickle.loads(baton[2:].tobytes()))
         y = block_counts(lam, theta, gamma_state, rng)
         _pass_baton(baton, k + 1, rng.bit_generator.state)
         turn.notify_all()
     cols = [map(str, y.tolist())] + [map(repr, c) for c in X[:, 1:].T.tolist()]
-    return ("\n".join(map(",".join, zip(*cols))) + "\n").encode()
+    text = memoryview(("\n".join(map(",".join, zip(*cols))) + "\n").encode())
+    with turn:
+        turn.wait_for(lambda: baton[1] == k)
+    while text:
+        text = text[os.write(fd, text):]
+    with turn:
+        baton[1] = k + 1
+        turn.notify_all()
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    import multiprocessing
-
-    from .mixture import gamma_states
+    """Draw the blocks' means and Gamma variates, keeping generator states,
+    so that their errors come before the output exists; write the header,
+    then fork the workers, which write the blocks (_format_block).  The
+    command holds and relays no rows; the output must have a file descriptor."""
+    from .mixture import gamma_states, generator
     beta = np.array(args.beta, dtype=float)
     rng = np.random.default_rng(args.seed)
     blocks, z_states = [], {}  # only generator states are kept
     for s in _row_blocks(args.n):
         z_states[s.start] = rng.bit_generator.state
-        X = np.hstack([np.ones((s.stop - s.start, 1)),
-                       rng.standard_normal((s.stop - s.start, len(beta) - 1))])
-        blocks.append((s, link_mean(X, beta, s.start).lam.max()))
-    del X
-    gammas = gamma_states(lambda s: link_mean(_design(s, z_states[s.start], beta),
-                                              beta, s.start).lam,
+        blocks.append((s, _design(s, rng, beta)[1].max()))
+    gammas = gamma_states(lambda s: _design(s, generator(z_states[s.start]), beta)[1],
                           blocks, args.theta, rng)
     tasks = [(k, s, z_states[s.start], g)
              for k, ((s, _), g) in enumerate(zip(blocks, gammas))]
-    baton, turn = shared_empty(64, np.int64), multiprocessing.Condition()
+    baton = shared_empty(64, np.int64)
     _pass_baton(baton, 0, rng.bit_generator.state)
     header = [args.response] + [f"x{j}" for j in range(1, len(beta))]
-    # The workers start before anything is written, so none inherits an
-    # unflushed output buffer.
-    with Workers() as workers:
-        workers.fork((beta, args.theta, baton, turn), len(tasks))
-        with _output(args) as out:
-            out.write(",".join(header) + "\n")
-            out.flush()  # the blocks' bytes go to the binary layer
-            out.buffer.writelines(workers.map(_format_block, tasks))
+    with _output(args) as out, Workers() as workers:
+        out.write(",".join(header) + "\n")
+        out.flush()  # before the fork, so that no worker inherits it unwritten
+        workers.fork((beta, args.theta, baton, condition(len(tasks)), out.fileno()),
+                     len(tasks))
+        for _ in workers.map(_format_block, tasks):  # None each, or an error
+            pass
     return 0
 
 
@@ -558,8 +561,7 @@ def _build_parser() -> _Parser:
                            help="do not prepend an all-ones intercept column")
         p.add_argument("--output", default=None,
                        help="output path (default stdout)")
-        if formats:
-            p.add_argument("--format", choices=list(formats), default=formats[0])
+        p.add_argument("--format", choices=list(formats), default=formats[0])
         return p
 
     p_fit = add("fit", cmd_fit, True, "maximum-likelihood fit from a CSV")
@@ -568,7 +570,7 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--eps-tail", type=_POSITIVE, default=DEFAULT_EPS_TAIL)
     p_fit.add_argument("--max-iter", type=_COUNT, default=100)
 
-    p_sim = add("simulate", cmd_simulate, False, "simulate a dataset to CSV", ())
+    p_sim = add("simulate", cmd_simulate, False, "simulate a dataset to CSV", ("csv",))
     p_sim.add_argument("--beta", type=_parse_beta, required=True,
                        help="comma-separated coefficients, intercept first")
     p_sim.add_argument("--theta", type=_POSITIVE, required=True,
@@ -577,7 +579,6 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--seed", type=_SEED, required=True)
     p_sim.add_argument("--response", default="y",
                        help="response column name to write")
-    p_sim.add_argument("--format", choices=["csv"], default="csv")
 
     p_ver = add("verify", cmd_verify, False, "run the numerical verification suite")
     p_ver.add_argument("--seed", type=_SEED, default=20260809)

@@ -177,15 +177,10 @@ def _search_gradient(gh: GradHess, theta: float):
                   d2l/dz2 = theta^2 * d2l/dtheta2 + theta * dl/dtheta,
                   d2l/dbeta dz = theta * d2l/dbeta dtheta.
     """
-    p = len(gh.score_beta)
-    g = np.empty(p + 1)
-    H = np.empty((p + 1, p + 1))
-    g[:p] = gh.score_beta
-    H[:p, :p] = gh.h_bb
-    g[p] = theta * gh.score_theta
-    H[:p, p] = H[p, :p] = theta * gh.h_bt
-    H[p, p] = theta * theta * gh.h_tt + theta * gh.score_theta
-    return g, H
+    h_bt = theta * gh.h_bt
+    return np.append(gh.score_beta, theta * gh.score_theta), np.block(
+        [[gh.h_bb, h_bt[:, None]],
+         [h_bt, theta * theta * gh.h_tt + theta * gh.score_theta]])
 
 
 def _ascent_direction(H: np.ndarray, g: np.ndarray):

@@ -89,11 +89,9 @@ class InfoMatrix:
 def _by_cutoff(cutoffs: np.ndarray):
     """Yield (positions, J) for each distinct cutoff J in a chunk."""
     order = np.argsort(cutoffs, kind="stable")
-    ends = (np.flatnonzero(np.diff(cutoffs[order])) + 1).tolist() + [order.size]
-    start = 0
-    for end in ends:
+    ends = (np.flatnonzero(np.diff(cutoffs[order])) + 1).tolist()
+    for start, end in zip([0] + ends, ends + [order.size]):
         yield order[start:end], int(cutoffs[order[start]])
-        start = end
 
 
 def _prefix(a: np.ndarray, rows: np.ndarray, j: int) -> np.ndarray:
@@ -255,9 +253,7 @@ def expected_info(ds: Dataset, p: Params,
                   eps_tail: float = DEFAULT_EPS_TAIL) -> InfoMatrix:
     """Expected information matrix: PSD beta block, zero cross block (as
     E[y_i] = lam_i), adjudicated theta element."""
-    k = ds.p + 1
-    m = np.zeros((k, k))
+    m = np.zeros((ds.p + 1, ds.p + 1))
     m[:-1, :-1] = expected_info_beta(ds, p)
-    element, report = expected_info_theta(ds, p, eps_tail)
-    m[-1, -1] = element
+    m[-1, -1], report = expected_info_theta(ds, p, eps_tail)
     return InfoMatrix(kind=InfoKind.EXPECTED, m=m, truncation=report)

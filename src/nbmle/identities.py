@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .derivatives import finite_diff, finite_diff_second
 from .exceptions import DomainError
@@ -108,11 +109,8 @@ def _evaluate(identity, grid, point_fn, pair_tols):
         except DomainError:
             invalid.append(pt)
             continue
-        res = {}
-        labels = list(vals)
-        for i, ai in enumerate(labels):
-            for bi in labels[i + 1:]:
-                res[f"{ai}_vs_{bi}"] = abs(vals[ai] - vals[bi])
+        res = {f"{a}_vs_{b}": abs(vals[a] - vals[b])
+               for a, b in combinations(vals, 2)}
         values.append(vals)
         residuals.append(res)
     kept = [pt for pt in grid if pt not in invalid]

@@ -11,6 +11,7 @@ A task's error is raised at its result, so the earliest one is seen.
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -29,6 +30,14 @@ def shared_empty(shape, dtype) -> np.ndarray:
     size = int(np.prod(shape))
     buf = mmap.mmap(-1, max(size * np.dtype(dtype).itemsize, 1))
     return np.frombuffer(buf, dtype, size).reshape(shape)
+
+
+def condition(tasks: int):
+    """A Condition for fork(state, tasks)'s workers: threading's if none fork."""
+    if min(usable_cpus(), tasks) < 2:
+        return threading.Condition()  # and multiprocessing is not imported
+    import multiprocessing  # here, so importing nbmle stays cheap
+    return multiprocessing.Condition()
 
 
 def _adopt(state) -> None:  # in a worker, at its start

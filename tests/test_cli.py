@@ -440,12 +440,12 @@ class TestSimulate:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "9cfacdfb822fa352c6f1c5f905494a19475d51c132dd1b8dffdcb56c09e98233")
 
-    def test_stdout_matches_file_across_write_blocks(self, tmp_path, capsys):
+    def test_stdout_matches_file_across_write_blocks(self, tmp_path, capfd):
         args = ["simulate", "--beta", "0.2,0.1,-0.1", "--theta", 1.5,
                 "--n", BLOCK_ROWS + 7, "--seed", 3]
-        capsys.readouterr()
+        capfd.readouterr()
         assert run(args) == 0
-        printed = capsys.readouterr().out
+        printed = capfd.readouterr().out
         path = tmp_path / "s.csv"
         assert run(args + ["--output", path]) == 0
         assert path.read_text() == printed
@@ -461,15 +461,15 @@ class TestSimulate:
     MULTI_BLOCK_SHA256 = (
         "0541f8a73cf8eb610c9b7ab969d4c36c17414b9249725eb8fad9690a857bacb9")
 
-    def test_multi_block_bytes_pinned(self, tmp_path, capsys, monkeypatch):
+    def test_multi_block_bytes_pinned(self, tmp_path, capfd, monkeypatch):
         assert 196_613 == 12 * BLOCK_ROWS + 5
         path = tmp_path / "m.csv"
         assert run(self.MULTI_BLOCK + ["--output", path]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() \
             == self.MULTI_BLOCK_SHA256
-        capsys.readouterr()
+        capfd.readouterr()
         assert run(self.MULTI_BLOCK) == 0
-        printed = capsys.readouterr().out.encode()
+        printed = capfd.readouterr().out.encode()
         assert hashlib.sha256(printed).hexdigest() == self.MULTI_BLOCK_SHA256
         # One usable CPU: the blocks are formatted in this process.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
@@ -479,6 +479,69 @@ class TestSimulate:
         assert run(self.MULTI_BLOCK + ["--output", path]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() \
             == self.MULTI_BLOCK_SHA256
+
+    @pytest.mark.parametrize("cpus", [4, 1])
+    def test_multi_block_bytes_through_a_pipe(self, monkeypatch, cpus):
+        """The workers, or on one CPU the command, write the blocks straight
+        into a real OS pipe, which a reader drains to its end."""
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        if cpus == 1:
+            monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+        reader = subprocess.Popen(
+            [sys.executable, "-c", "import hashlib, sys; print(hashlib.sha256("
+             "sys.stdin.buffer.read()).hexdigest())"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        out = io.TextIOWrapper(reader.stdin, encoding="utf-8")
+        monkeypatch.setattr(sys, "stdout", out)
+        try:
+            code = run(self.MULTI_BLOCK)
+        finally:
+            monkeypatch.undo()
+            out.close()
+            digest = reader.stdout.read().decode().strip()
+            reader.wait(timeout=60)
+        assert code == 0
+        assert digest == self.MULTI_BLOCK_SHA256
+
+    @pytest.mark.parametrize("cpus", [4, 1])
+    def test_blocks_relay_no_bytes(self, tmp_path, monkeypatch, cpus):
+        """Each block is written where it is formatted: the command receives
+        None for each, from its workers or from its own calls."""
+        results = []
+        real = cli.Workers.map
+
+        def recording(self, fn, tasks, *args):
+            for result in real(self, fn, tasks, *args):
+                results.append(result)
+                yield result
+
+        monkeypatch.setattr(cli.Workers, "map", recording)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        simulate_to(tmp_path, n=3 * BLOCK_ROWS + 5, seed=2)
+        assert results == [None] * 4
+
+    @pytest.mark.parametrize("n, one_cpu", [(2000, False), (3 * BLOCK_ROWS, True)])
+    def test_no_pool_imports_no_multiprocessing(self, tmp_path, n, one_cpu):
+        """One block, or one usable CPU: the turns take threading's Condition
+        and a fresh command never imports multiprocessing."""
+        code = ("import os, sys\n"
+                "if sys.argv[1] == 'one':\n"
+                "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                "from nbmle.cli import main\n"
+                "assert main(sys.argv[2:]) == 0\n"
+                "print('multiprocessing' in sys.modules)")
+        if one_cpu and not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no affinity API on this platform")
+        env = dict(os.environ,
+                   PYTHONPATH=os.path.dirname(os.path.dirname(nbmle.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", code, "one" if one_cpu else "all", "simulate",
+             "--beta", "0.5,-0.3", "--theta", "0.8", "--n", str(n), "--seed", "42",
+             "--output", str(tmp_path / "s.csv")],
+            env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "False\n"
 
     # No regressor columns, so each block's redraw draws nothing; three full
     # blocks and five rows more.  The digest was recorded before the
