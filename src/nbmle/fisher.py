@@ -18,8 +18,9 @@ bound on the neglected mass Pr(Y >= J) falls below eps_tail.  The tables
 of all observations come from model._pmf_chunks as 2-D chunks, one row per
 observation, and the series are evaluated a chunk at a time.  Both
 conventions are suffix sums of a row and the brute-force negative Hessian
-weights the same row; rows that share a cutoff are reduced together, so
-each observation's values are those of its one-row call.
+weights the same row; each is one left-to-right sum along a row, and a
+row's table is zero past its cutoff, so each observation's values are
+those of its one-row call, whatever the width of its chunk.
 
 Standard errors default to the observed information (the negative analytic
 Hessian), which needs no infinite sums at fit time; the expected matrix is
@@ -86,28 +87,9 @@ class InfoMatrix:
                 "truncation": self.truncation.to_dict() if self.truncation else None}
 
 
-def _by_cutoff(cutoffs: np.ndarray):
-    """Yield (positions, J) for each distinct cutoff J in a chunk."""
-    order = np.argsort(cutoffs, kind="stable")
-    ends = (np.flatnonzero(np.diff(cutoffs[order])) + 1).tolist()
-    for start, end in zip([0] + ends, ends + [order.size]):
-        yield order[start:end], int(cutoffs[order[start]])
-
-
-def _prefix(a: np.ndarray, rows: np.ndarray, j: int) -> np.ndarray:
-    """a[rows, :j] of a chunk's table, C-contiguous: the table itself when
-    the rows are all of its rows (they then share its width as cutoff)."""
-    return a if rows.size == a.shape[0] else a[rows, :j]
-
-
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[k] @ b[k] (b 2-D) or a[k] @ b (b 1-D) for every row k of a.
-
-    A stacked matmul of vectors evaluates each row with the dot kernel that
-    the 1-D product of that row alone takes for the same strides, so each
-    value is the one-row value.
-    """
-    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D a added up left to right."""
+    return np.cumsum(a, axis=1)[:, -1]
 
 
 def _theta_series(lam: np.ndarray, theta: float, chunk: PmfChunk):
@@ -119,33 +101,22 @@ def _theta_series(lam: np.ndarray, theta: float, chunk: PmfChunk):
     w_j = (2j+u)/(j+u)^2 and u = 1/theta.  The survivor probabilities are
     suffix sums of the table.  The brute-force value weights each count's
     own negative Hessian, whose finite sum sum_{j<y} w_j is the running sum
-    of w; it never reads the survivor sums.  Rows that share a cutoff J are
-    evaluated together over their first J counts, so every row gets the
-    value of its one-row call.
+    of w; it never reads the survivor sums.  Each series adds a row's terms
+    left to right over the chunk; past the row's cutoff they are zero and
+    add nothing, so every row gets the value of its one-row call.
     """
     pmf = chunk.pmf
-    width = pmf.shape[1]
     u = 1.0 / theta
     u3 = u * u * u
-    y = np.arange(width, dtype=float)
+    y = np.arange(pmf.shape[1], dtype=float)
     w = _SUMMANDS["weights"](y, u)
-    u3_cum_w = np.zeros(width)
-    np.cumsum(w[:-1], out=u3_cum_w[1:])
-    u3_cum_w *= u3
-    out = np.empty((3, pmf.shape[0]))
-    for rows, j in _by_cutoff(chunk.cutoffs):
-        p = _prefix(pmf, rows, j)
-        surv = np.cumsum(p[:, ::-1], axis=1)[:, ::-1]
-        out[0, rows] = _dots(surv, w[:j])
-        out[1, rows] = _dots(surv[:, 1:], w[:j - 1])
-        del surv
-        lam_j = lam[chunk.rows[rows], None]
-        t = theta * lam_j
-        neg_h = _theta_bracket(y[:j] - lam_j, t, np.log1p(t), theta)
-        neg_h *= u3
-        neg_h -= u3_cum_w[:j]
-        out[2, rows] = _dots(p, neg_h)
-    return out
+    u3_cum_w = u3 * np.concatenate(([0.0], np.cumsum(w[:-1])))
+    surv = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+    lam_k = lam[chunk.rows, None]
+    t = theta * lam_k
+    neg_h = u3 * _theta_bracket(y - lam_k, t, np.log1p(t), theta) - u3_cum_w
+    return np.array([_row_sums(surv * w), _row_sums(surv[:, 1:] * w[:-1]),
+                     _row_sums(pmf * neg_h)])
 
 
 @dataclass(frozen=True)
@@ -208,17 +179,15 @@ def expected_info_theta(ds: Dataset, p: Params,
         series[:, chunk.rows] = _theta_series(lam, theta, chunk)
         cutoffs[chunk.rows] = chunk.cutoffs
         bounds[chunk.rows] = chunk.bounds
-    sum_a, sum_b, brute = series
     t = theta * lam
     # math.log1p: np.log1p may differ from it in the last place, which
     # u3 * (smooth - sum) magnifies.
     smooth = 2.0 * np.array([math.log1p(v) for v in t.tolist()]) - t / (1.0 + t)
-    # Totals added up one row at a time in row order (the last entry of a
-    # cumulative sum): the reported totals keep the rounding of a running
-    # sum over the observations.
-    total_a = float(np.cumsum(u3 * (smooth - sum_a))[-1])
-    total_b = float(np.cumsum(u3 * (smooth - sum_b))[-1])
-    total_bf = float(np.cumsum(brute)[-1])
+    # Totals added up one row at a time in row order, as each row's series
+    # is: the reported totals keep the rounding of a running sum over the
+    # observations.
+    series[:2] = u3 * (smooth - series[:2])
+    total_a, total_b, total_bf = _row_sums(series).tolist()
     if abs(total_b - total_bf) <= abs(total_a - total_bf):
         chosen, element = "survivor_at_j_plus_1", total_b
     else:

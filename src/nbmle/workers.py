@@ -32,11 +32,22 @@ def shared_empty(shape, dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype, size).reshape(shape)
 
 
+def _forks(tasks: int) -> int:
+    """How many workers fork(state, tasks) starts: min(usable CPUs, tasks)
+    when that is two or more and the platform can fork, else 0.  Below two
+    it does not import multiprocessing."""
+    count = min(usable_cpus(), tasks)
+    if count < 2:
+        return 0
+    import multiprocessing  # here, so importing nbmle stays cheap
+    return count if "fork" in multiprocessing.get_all_start_methods() else 0
+
+
 def condition(tasks: int):
     """A Condition for fork(state, tasks)'s workers: threading's if none fork."""
-    if min(usable_cpus(), tasks) < 2:
-        return threading.Condition()  # and multiprocessing is not imported
-    import multiprocessing  # here, so importing nbmle stays cheap
+    if not _forks(tasks):
+        return threading.Condition()
+    import multiprocessing
     return multiprocessing.Condition()
 
 
@@ -59,13 +70,12 @@ class Workers:
 
     def fork(self, state, tasks: int) -> None:
         self.state = state
-        count = min(usable_cpus(), tasks)
-        if count >= 2:
-            import multiprocessing  # here, so importing nbmle stays cheap
-            if "fork" in multiprocessing.get_all_start_methods():
-                self._pool = multiprocessing.get_context("fork").Pool(
-                    count, _adopt, (state,))
-                self.count = count
+        count = _forks(tasks)
+        if count:
+            import multiprocessing
+            self._pool = multiprocessing.get_context("fork").Pool(
+                count, _adopt, (state,))
+            self.count = count
 
     def map(self, fn, tasks, *args):
         if self._pool is None or len(tasks) < 2:

@@ -228,7 +228,8 @@ class TestBatchedSeries:
 
     @staticmethod
     def _one_dimensional_series(lam, theta):
-        """The dispersion series of one mean on its 1-D table."""
+        """The dispersion series of one mean on its 1-D table, by 1-D
+        products, and the scale sum_y |pmf * neg_h| of the brute-force one."""
         pmf, cutoff, _ = _pmf_table(lam, theta)
         u = 1.0 / theta
         u3 = u * u * u
@@ -238,16 +239,27 @@ class TestBatchedSeries:
         cum_w = np.concatenate(([0.0], np.cumsum(w[:-1])))
         t = theta * lam
         neg_h = u3 * _theta_bracket(y - lam, t, np.log1p(t), theta) - u3 * cum_w
-        return w @ surv, w[:-1] @ surv[1:], pmf @ neg_h
+        return w @ surv, w[:-1] @ surv[1:], pmf @ neg_h, np.abs(pmf * neg_h).sum()
 
+    @pytest.mark.parametrize("entries", [256, model._CHUNK_ENTRIES])
     @pytest.mark.parametrize("theta", [1e-6, 0.05, 0.8, 5.0])
-    def test_rows_match_the_1d_series_bit_for_bit(self, monkeypatch, theta):
+    def test_rows_match_their_one_row_series_bit_for_bit(self, monkeypatch,
+                                                         entries, theta):
+        """Every row of a chunk is its one-row chunk's value, bit for bit.
+        The survivor series are also the 1-D products' values bit for bit;
+        the brute-force one is a running sum where the 1-D product may take
+        a BLAS dot, so it agrees to rounding."""
         lam = link_mean(self._dataset().X, np.array([1.3, 1.2])).lam
-        monkeypatch.setattr(model, "_CHUNK_ENTRIES", 256)
+        monkeypatch.setattr(model, "_CHUNK_ENTRIES", entries)
         for chunk in model._pmf_chunks(lam, theta):
             series = _theta_series(lam, theta, chunk)
             for k, i in enumerate(chunk.rows):
-                assert tuple(series[:, k]) == self._one_dimensional_series(lam[i], theta)
+                (alone,) = model._pmf_chunks(lam[i:i + 1], theta)
+                one_row = _theta_series(lam[i:i + 1], theta, alone)[:, 0]
+                assert tuple(series[:, k]) == tuple(one_row)
+                a, b, brute, scale = self._one_dimensional_series(lam[i], theta)
+                assert (series[0, k], series[1, k]) == (a, b)
+                assert abs(series[2, k] - brute) <= 1e-13 * scale
 
     @pytest.mark.parametrize("theta", [1e-6, 0.05, 0.8, 5.0])
     def test_theta_element_independent_of_chunking(self, monkeypatch, theta):

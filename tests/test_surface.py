@@ -18,7 +18,7 @@ import nbmle
 
 LIBRARY_ENTRY_POINTS = {"loglik"}
 
-# Lines of src/nbmle/*.py (ROADMAP item 6).
+# Lines of src/nbmle/*.py (ROADMAP, "Stay under budget").
 LINE_BUDGET = 2700
 
 

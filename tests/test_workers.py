@@ -11,6 +11,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from nbmle import cli, derivatives, estimator, model
 from nbmle.cli import CliInputError, ingest_csv
 from nbmle.exceptions import LinearPredictorOverflow
 from nbmle.model import BLOCK_ROWS, Dataset, Params
-from nbmle.workers import Workers, shared_empty
+from nbmle.workers import Workers, condition, shared_empty
 from test_cli import _no_pool, run, simulate_to
 
 
@@ -263,6 +264,19 @@ class TestSameOutputOnAnyCpuCount:
             command = ["0.5,-0.3" if a == "0.1,0.3,-0.2" else a for a in command]
             assert run(command + ["--input", path,
                                   "--output", tmp_path / "o.json"]) == 0
+
+
+def test_a_platform_without_fork_forks_nothing(monkeypatch):
+    """Four CPUs but no fork start method: no worker forks, so the write
+    turns take threading's Condition and Workers stays in this process."""
+    many_cpus(monkeypatch)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", _no_pool)
+    assert isinstance(condition(8), threading.Condition)
+    with Workers() as workers:
+        workers.fork(None, 8)
+        assert workers.count == 1
 
 
 class TestNoWorkerOutlivesItsCommand:
