@@ -17,8 +17,8 @@ _EXPORTS = {
     "exceptions": "AllZeroResponseError CollinearColumnsError DomainError "
                   "InformationNotInvertible LinearPredictorOverflow "
                   "QuadratureConvergenceError TruncationCapExceeded",
-    "fisher": "InfoKind InfoMatrix expected_info expected_info_beta "
-              "expected_info_theta expected_trigamma_tail observed_info",
+    "fisher": "InfoKind InfoMatrix expected_info expected_trigamma_tail "
+              "observed_info",
     "identities": "IdentityId IdentityReport check_digamma_chain "
                   "check_digamma_sum check_trigamma_chain check_trigamma_sum "
                   "default_grid",

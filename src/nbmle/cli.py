@@ -485,8 +485,8 @@ def cmd_info(args: argparse.Namespace) -> int:
         matrices = {}
         if args.info in ("observed", "both"):
             matrices["observed"] = observed_info(ds, params).to_dict()
-    if args.info in ("expected", "both"):
-        matrices["expected"] = expected_info(ds, params, args.eps_tail).to_dict()
+        if args.info in ("expected", "both"):
+            matrices["expected"] = expected_info(ds, params, args.eps_tail).to_dict()
     payload = {"schema_version": SCHEMA_VERSION, "command": "info",
                "names": list(ds.names) + ["theta"], "beta": list(map(float, beta)),
                "theta": args.theta, "matrices": matrices}

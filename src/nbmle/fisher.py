@@ -13,14 +13,16 @@ conventions are therefore computed side by side, the direct double sum is
 treated as definitional, and the element actually returned is the
 convention that matches the brute-force pmf-weighted negative Hessian.
 
-Every series reads each observation's pmf table, cut where a certified
+The expected matrix is one blocked pass: each block of model._row_blocks,
+in the dataset's workers when it has them, evaluates its link once, and
+from it its beta block and its rows' pmf tables, cut where a certified
 bound on the neglected mass Pr(Y >= J) falls below eps_tail.  The tables
-of all observations come from model._pmf_chunks as 2-D chunks, one row per
-observation, and the series are evaluated a chunk at a time.  Both
-conventions are suffix sums of a row and the brute-force negative Hessian
-weights the same row; each is one left-to-right sum along a row, and a
-row's table is zero past its cutoff, so each observation's values are
-those of its one-row call, whatever the width of its chunk.
+come from model._pmf_chunks as 2-D chunks, one row per observation, and
+the series are evaluated a chunk at a time.  Both conventions are suffix
+sums of a row and the brute-force negative Hessian weights the same row;
+each is one left-to-right sum along a row, and a row's table is zero past
+its cutoff, so each observation's values are those of its one-row call,
+whatever the width of its chunk or its block.
 
 Standard errors default to the observed information (the negative analytic
 Hessian), which needs no infinite sums at fit time; the expected matrix is
@@ -30,15 +32,16 @@ available behind a flag.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .derivatives import GradHess, _theta_bracket, grad_hess
+from .derivatives import GradHess, _require_finite_range, _theta_bracket, grad_hess
 from .exceptions import DomainError
 from .model import (
-    DEFAULT_EPS_TAIL, Dataset, Params, PmfChunk, _pmf_chunks, link_mean)
+    DEFAULT_EPS_TAIL, Dataset, Params, PmfChunk, _pmf_chunks, _row_map, link_mean)
 from .special import _SUMMANDS, _require_positive
 
 
@@ -157,56 +160,6 @@ def expected_trigamma_tail(lam: float, theta: float,
         tail_bound=float(chunk.bounds[0]))
 
 
-def expected_info_theta(ds: Dataset, p: Params,
-                        eps_tail: float = DEFAULT_EPS_TAIL):
-    """Expected information element for theta, with truncation report.
-
-    Per observation: (1/theta^3) [ 2 ln(1+theta*lam) - theta*lam/(1+theta*lam)
-    - sum_j w_j T(j) ], computed under both tail-index conventions; the
-    brute-force pmf-weighted negative Hessian arbitrates which convention
-    the returned value uses.
-
-    Returns (element, ThetaTruncationReport).
-    """
-    theta = p.theta
-    u = 1.0 / theta
-    u3 = u * u * u
-    lam = link_mean(ds.X, p.beta).lam
-    series = np.empty((3, lam.size))
-    cutoffs = np.empty(lam.size, dtype=np.int64)
-    bounds = np.empty(lam.size)
-    for chunk in _pmf_chunks(lam, theta, eps_tail):
-        series[:, chunk.rows] = _theta_series(lam, theta, chunk)
-        cutoffs[chunk.rows] = chunk.cutoffs
-        bounds[chunk.rows] = chunk.bounds
-    t = theta * lam
-    # math.log1p: np.log1p may differ from it in the last place, which
-    # u3 * (smooth - sum) magnifies.
-    smooth = 2.0 * np.array([math.log1p(v) for v in t.tolist()]) - t / (1.0 + t)
-    # Totals added up one row at a time in row order, as each row's series
-    # is: the reported totals keep the rounding of a running sum over the
-    # observations.
-    series[:2] = u3 * (smooth - series[:2])
-    total_a, total_b, total_bf = _row_sums(series).tolist()
-    if abs(total_b - total_bf) <= abs(total_a - total_bf):
-        chosen, element = "survivor_at_j_plus_1", total_b
-    else:
-        chosen, element = "survivor_at_j", total_a
-    report = ThetaTruncationReport(
-        eps_tail=eps_tail, cutoffs=tuple(cutoffs.tolist()),
-        tail_bounds=tuple(bounds.tolist()), survivor_at_j_total=total_a,
-        survivor_at_j_plus_1_total=total_b, brute_force_total=total_bf, chosen=chosen)
-    return element, report
-
-
-def expected_info_beta(ds: Dataset, p: Params) -> np.ndarray:
-    """E[-d2 lnL/dbeta dbeta'] = sum_i lam_i/(1+theta*lam_i) x_i x_i'."""
-    lam = link_mean(ds.X, p.beta).lam
-    w = lam / (1.0 + p.theta * lam)
-    m = (ds.X.T * w) @ ds.X
-    return 0.5 * (m + m.T)
-
-
 def observed_info(ds: Dataset, p: Params) -> InfoMatrix:
     """Negative analytic Hessian assembled into a (p+1) x (p+1) matrix."""
     return observed_info_from(grad_hess(ds, p))
@@ -218,11 +171,54 @@ def observed_info_from(gh: GradHess) -> InfoMatrix:
     return InfoMatrix(kind=InfoKind.OBSERVED, m=m)
 
 
+def _expected_blocks(state, blocks, beta, theta: float, eps_tail: float) -> list:
+    """Per row block of (y, X) = state, from its one link: (X_b' diag(lam/(1+t))
+    X_b; its rows' u^3 (smooth - sum_j w_j Pr(Y >= j)), u^3 (smooth - sum_j
+    w_j Pr(Y >= j+1)) and brute-force values; their cutoffs; their tail
+    bounds), with t = theta*lam, smooth = 2 ln(1+t) - t/(1+t), u = 1/theta."""
+    u = 1.0 / theta
+    u3 = u * u * u
+    out = []
+    for s in blocks:
+        X_b = state[1][s]
+        lam = link_mean(X_b, beta, s.start).lam
+        series, bounds = np.empty((3, lam.size)), np.empty(lam.size)
+        cutoffs = np.empty(lam.size, np.int64)
+        for chunk in _pmf_chunks(lam, theta, eps_tail):
+            series[:, chunk.rows] = _theta_series(lam, theta, chunk)
+            cutoffs[chunk.rows], bounds[chunk.rows] = chunk.cutoffs, chunk.bounds
+        t = theta * lam
+        # math.log1p: np.log1p may differ from it in the last place, which
+        # u3 * (smooth - sum) magnifies.
+        smooth = 2.0 * np.array([math.log1p(v) for v in t.tolist()]) - t / (1.0 + t)
+        series[:2] = u3 * (smooth - series[:2])
+        out.append(((X_b.T * (lam / (1.0 + t))) @ X_b, series, cutoffs, bounds))
+    return out
+
+
 def expected_info(ds: Dataset, p: Params,
                   eps_tail: float = DEFAULT_EPS_TAIL) -> InfoMatrix:
-    """Expected information matrix: PSD beta block, zero cross block (as
-    E[y_i] = lam_i), adjudicated theta element."""
+    """Expected information matrix: PSD beta block sum_i lam_i/(1+t_i) x_i x_i',
+    zero cross block (as E[y_i] = lam_i), and the theta element: per row
+    (1/theta^3) [ 2 ln(1+t_i) - t_i/(1+t_i) - sum_j w_j T(j) ] under both
+    tail-index conventions, of which the brute-force pmf-weighted negative
+    Hessian picks one.  After the theta conditions of
+    derivatives._require_finite_range, one pass over model._row_blocks, in
+    ds's workers if it has them; the beta blocks are added in block order."""
+    _require_finite_range(p.theta)
+    beta_blocks, series, cutoffs, bounds = zip(
+        *_row_map(ds, _expected_blocks, p.beta, p.theta, eps_tail))
     m = np.zeros((ds.p + 1, ds.p + 1))
-    m[:-1, :-1] = expected_info_beta(ds, p)
-    m[-1, -1], report = expected_info_theta(ds, p, eps_tail)
+    m[:-1, :-1] = functools.reduce(np.add, beta_blocks)
+    # Added up one row at a time in row order, as each row's series is: the
+    # totals keep the rounding of a running sum over the observations.
+    total_a, total_b, total_bf = _row_sums(np.concatenate(series, axis=1)).tolist()
+    if abs(total_b - total_bf) <= abs(total_a - total_bf):
+        chosen, m[-1, -1] = "survivor_at_j_plus_1", total_b
+    else:
+        chosen, m[-1, -1] = "survivor_at_j", total_a
+    report = ThetaTruncationReport(
+        eps_tail=eps_tail, cutoffs=tuple(np.concatenate(cutoffs).tolist()),
+        tail_bounds=tuple(np.concatenate(bounds).tolist()), survivor_at_j_total=total_a,
+        survivor_at_j_plus_1_total=total_b, brute_force_total=total_bf, chosen=chosen)
     return InfoMatrix(kind=InfoKind.EXPECTED, m=m, truncation=report)

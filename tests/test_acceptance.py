@@ -17,7 +17,7 @@ from nbmle import (
     check_digamma_sum,
     check_trigamma_chain,
     check_trigamma_sum,
-    expected_info_theta,
+    expected_info,
     expected_trigamma_tail,
     finite_diff,
     fit,
@@ -196,7 +196,8 @@ def test_criterion_5_fisher_element():
 
                 ds = Dataset(y=np.array([1]), X=np.array([[1.0]]))
                 params = Params(np.array([math.log(lam)]), theta)
-                element, report = expected_info_theta(ds, params)
+                info = expected_info(ds, params)
+                element, report = info.m[-1, -1], info.truncation
                 worst_rel = max(
                     worst_rel,
                     abs(element - report.brute_force_total)

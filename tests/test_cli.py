@@ -881,19 +881,23 @@ class TestInfo:
         # 1/theta^3 overflows, and the finite-sum summands would square
         # 1/theta past the double range.
         ("1e-160", "theta=1e-160 is out of range: 1/theta^3 overflows"),
+        ("1e-300", "theta=1e-300 is out of range: 1/theta^3 overflows"),
     ])
     def test_theta_past_the_block_range_is_input_error(self, tmp_path, capsys,
                                                         theta, why):
         # Small counts: the finite sums come from the cumulative tables, and
-        # the range check refuses theta before any array expression runs.
+        # the range check refuses theta before any array expression runs, on
+        # the expected path before any series or pmf table.
         path = tmp_path / "small.csv"
         path.write_text("y,x1\n17,0.1\n3,0.2\n0,-0.3\n5,0.5\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = run(["info", "--input", path, "--beta", "1,0.3",
-                        "--theta", theta, "--info", "observed"])
-        assert code == 1
-        assert capsys.readouterr().err.splitlines()[-1] == f"error: {why}"
+        for info in ("observed", "expected"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = run(["info", "--input", path, "--beta", "1,0.3",
+                            "--theta", theta, "--info", info])
+            assert code == 1
+            assert capsys.readouterr().err.splitlines()[-1] == f"error: {why}"
+
 
 class TestContract:
     """Usage errors, defaults and formats that the argument layer owns."""

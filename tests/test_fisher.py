@@ -9,8 +9,6 @@ from nbmle import (
     InfoKind,
     Params,
     expected_info,
-    expected_info_beta,
-    expected_info_theta,
     expected_trigamma_tail,
     fit,
     grad_hess,
@@ -18,6 +16,7 @@ from nbmle import (
     loglik,
     observed_info,
 )
+import nbmle.fisher as fisher
 import nbmle.model as model
 from nbmle.derivatives import _theta_bracket
 from nbmle.fisher import _theta_series
@@ -32,6 +31,12 @@ THETA_GRID = (0.2, 1.0, 3.0)
 def one_obs_dataset(lam, theta):
     ds = Dataset(y=np.array([1]), X=np.array([[1.0]]))
     return ds, Params(np.array([math.log(lam)]), theta)
+
+
+def theta_element(ds, p):
+    """expected_info's theta element and its truncation report."""
+    info = expected_info(ds, p)
+    return info.m[-1, -1], info.truncation
 
 
 def brute_force(lam, theta):
@@ -105,7 +110,7 @@ class TestExpectedInfoTheta:
         for lam in LAMBDA_GRID:
             for theta in THETA_GRID:
                 ds, p = one_obs_dataset(lam, theta)
-                element, report = expected_info_theta(ds, p)
+                element, report = theta_element(ds, p)
                 bf = report.brute_force_total
                 assert element == pytest.approx(bf, rel=1e-6)
                 assert element > 0.0
@@ -113,16 +118,16 @@ class TestExpectedInfoTheta:
 
     def test_additive_over_observations(self):
         ds1, p1 = one_obs_dataset(1.3, 0.9)
-        e1, _ = expected_info_theta(ds1, p1)
+        e1, _ = theta_element(ds1, p1)
         ds2 = Dataset(y=np.array([1, 1]), X=np.array([[1.0], [1.0]]))
-        e2, _ = expected_info_theta(ds2, Params(p1.beta, p1.theta))
+        e2, _ = theta_element(ds2, Params(p1.beta, p1.theta))
         assert e2 == pytest.approx(2.0 * e1, rel=1e-12)
 
     def test_heavy_tail_returns(self):
         # The tail here is nearly geometric with ratio 1 - 1e-5, so the
         # cutoff runs to about 2.5e6 counts.
         ds, p = one_obs_dataset(2.1e4, 5.0)
-        element, report = expected_info_theta(ds, p)
+        element, report = theta_element(ds, p)
         assert math.isfinite(element) and element > 0.0
         assert report.chosen == "survivor_at_j_plus_1"
 
@@ -130,7 +135,7 @@ class TestExpectedInfoTheta:
     def test_large_mean_matches_polygamma_sum(self, lam):
         theta = 0.05
         ds, p = one_obs_dataset(lam, theta)
-        element, _ = expected_info_theta(ds, p)
+        element, _ = theta_element(ds, p)
         lam = float(link_mean(ds.X, p.beta).lam[0])
         u = 1.0 / theta
         one = 1.0 + theta * lam
@@ -145,7 +150,7 @@ class TestExpectedInfoTheta:
 
     def test_report_carries_both_conventions(self):
         ds, p = one_obs_dataset(1.0, 1.0)
-        element, report = expected_info_theta(ds, p)
+        element, report = theta_element(ds, p)
         assert report.survivor_at_j_total != report.survivor_at_j_plus_1_total
         assert element == report.survivor_at_j_plus_1_total
         assert len(report.cutoffs) == 1
@@ -154,7 +159,7 @@ class TestExpectedInfoTheta:
 class TestExpectedInfoBeta:
     def test_hand_value(self):
         ds, p = one_obs_dataset(1.0, 1.0)
-        assert expected_info_beta(ds, p)[0, 0] == pytest.approx(0.5, rel=1e-14)
+        assert expected_info(ds, p).m[0, 0] == pytest.approx(0.5, rel=1e-14)
 
     def test_matches_brute_force(self):
         lam, theta = 1.7, 0.8
@@ -166,7 +171,7 @@ class TestExpectedInfoBeta:
             return -float(grad_hess(d, Params(beta, theta)).h_bb[0, 0])
 
         direct = truncated_pmf_sum(neg_h_bb, lam, theta)
-        assert expected_info_beta(ds, p)[0, 0] == pytest.approx(
+        assert expected_info(ds, p).m[0, 0] == pytest.approx(
             direct.value, abs=1e-8
         )
 
@@ -176,14 +181,14 @@ class TestExpectedInfoBeta:
         lam = link_mean(ds.X, p.beta).lam
         poisson_info = (ds.X.T * lam) @ ds.X
         np.testing.assert_allclose(
-            expected_info_beta(ds, tiny), poisson_info,
+            expected_info(ds, tiny).m[:-1, :-1], poisson_info,
             rtol=1e-6,
         )
 
     def test_positive_semidefinite(self, rng):
         for _ in range(10):
             ds, p = make_instance(rng)
-            eigs = np.linalg.eigvalsh(expected_info_beta(ds, p))
+            eigs = np.linalg.eigvalsh(expected_info(ds, p).m[:-1, :-1])
             assert eigs.min() >= -1e-10
 
 
@@ -265,15 +270,46 @@ class TestBatchedSeries:
     def test_theta_element_independent_of_chunking(self, monkeypatch, theta):
         ds = self._dataset()
         p = Params(np.array([1.3, 1.2]), theta)
-        element, report = expected_info_theta(ds, p)
+        info = expected_info(ds, p)
+        report = info.truncation
         monkeypatch.setattr(model, "_CHUNK_ENTRIES", 256)
-        assert expected_info_theta(ds, p) == (element, report)
+        again = expected_info(ds, p)
+        assert np.array_equal(again.m, info.m) and again.truncation == report
         lam = link_mean(ds.X, p.beta).lam
         rows = [expected_trigamma_tail(lam_i, theta) for lam_i in lam]
         assert report.cutoffs == tuple(r.cutoff for r in rows)
         assert report.tail_bounds == tuple(r.tail_bound for r in rows)
         brute = sum(brute_force(lam_i, theta)[0] for lam_i in lam)
         assert report.brute_force_total == pytest.approx(brute, rel=1e-12)
+
+
+class TestExpectedInfoBlocked:
+    """expected_info is one pass over model._row_blocks: no link over more
+    rows than a block, and the same report and theta element whatever the
+    blocks."""
+
+    def test_no_link_spans_more_than_a_block(self, monkeypatch):
+        ds = simulate_dataset(5, 3 * model.BLOCK_ROWS + 5, [0.4, -0.3], 0.7)
+        link = fisher.link_mean
+
+        def one_block(X, beta, start=0):
+            assert len(X) <= model.BLOCK_ROWS, f"a link over {len(X)} rows"
+            return link(X, beta, start)
+
+        monkeypatch.setattr(fisher, "link_mean", one_block)
+        assert expected_info(ds, Params(np.array([0.4, -0.3]), 0.7)).m[-1, -1] > 0.0
+
+    def test_large_mean_design_in_small_blocks(self, monkeypatch):
+        ds = simulate_dataset(3, 300, [5.7, 0.3], 0.05)
+        p = Params(np.array([5.7, 0.3]), 0.05)
+        whole = expected_info(ds, p)
+        monkeypatch.setattr(model, "BLOCK_ROWS", 64)
+        blocked = expected_info(ds, p)
+        assert blocked.truncation == whole.truncation
+        assert blocked.m[-1, -1] == whole.m[-1, -1]
+        np.testing.assert_array_equal(blocked.m[:-1, -1], 0.0)
+        np.testing.assert_allclose(blocked.m[:-1, :-1], whole.m[:-1, :-1],
+                                   rtol=1e-13, atol=0)
 
 
 class TestObservedInfo:
@@ -325,5 +361,5 @@ class TestExpectedMatrixAssembly:
         ds = simulate_dataset(99, 10_000, [0.6], 0.8)
         p = Params(np.array([0.6]), 0.8)
         obs = observed_info(ds, p).m[-1, -1]
-        exp_el, _ = expected_info_theta(ds, p)
+        exp_el, _ = theta_element(ds, p)
         assert abs(obs - exp_el) / abs(exp_el) < 0.05

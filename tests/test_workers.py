@@ -19,11 +19,12 @@ import pytest
 
 import nbmle
 import test_cli as base
-from nbmle import cli, derivatives, estimator, model
+from nbmle import cli, derivatives, estimator, fisher, model
 from nbmle.cli import CliInputError, ingest_csv
 from nbmle.exceptions import LinearPredictorOverflow
 from nbmle.model import BLOCK_ROWS, Dataset, Params
 from nbmle.workers import Workers, condition, shared_empty
+from conftest import simulate_dataset
 from test_cli import _no_pool, run, simulate_to
 
 
@@ -369,6 +370,45 @@ class TestLateBlockOverflow:
                     with pytest.raises(RuntimeWarning, match="overflow"):
                         derivatives.grad_hess(
                             ds, Params(np.array([0.1, 0.2, 1e-160]), 1.0))
+
+
+class TestExpectedInfoInWorkers:
+    """expected_info's blocks in four forked workers give the bytes of the
+    same blocks here, and its errors name rows of the whole design."""
+
+    @staticmethod
+    def datasets(monkeypatch, row=None):
+        """A large_mean-like design in 64-row blocks, with four workers and
+        with none; x'beta passes 700 at row, if given."""
+        many_cpus(monkeypatch)
+        monkeypatch.setattr(model, "BLOCK_ROWS", 64)
+        ds = simulate_dataset(3, 300, [5.7, 0.3], 0.05)
+        y, X = shared_empty(ds.n, np.int64), shared_empty((ds.n, 2), float)
+        y[:], X[:] = ds.y, ds.X
+        if row is not None:
+            X[row, 1] = 3000.0
+        workers = Workers()
+        workers.fork((y, X), 5)
+        return workers, [Dataset(y, X, workers=workers),
+                         Dataset(y.copy(), X.copy())]
+
+    def test_same_bytes(self, monkeypatch):
+        workers, datasets = self.datasets(monkeypatch)
+        with workers:
+            assert workers.count == 4
+            pooled, here = (fisher.expected_info(ds, Params(np.array([5.7, 0.3]),
+                                                            0.05))
+                            for ds in datasets)
+        assert np.array_equal(pooled.m, here.m)
+        assert pooled.truncation == here.truncation
+
+    def test_late_block_overflow_names_its_row(self, monkeypatch):
+        workers, datasets = self.datasets(monkeypatch, row=257)
+        with workers:
+            for ds in datasets:
+                with pytest.raises(LinearPredictorOverflow) as err:
+                    fisher.expected_info(ds, Params(np.array([5.7, 0.3]), 0.05))
+                assert err.value.row == 257
 
 
 class TestJsonStreamed:
