@@ -108,56 +108,48 @@ def grad_hess(ds: Dataset, p: Params) -> GradHess:
         ((u, "log"), (1.0, "log"), (u, "weights"), (u, "recip")),
         check=lambda: _require_finite_range(theta))
     tables = (log_u - log_1, weights, recip, ds.y_distinct)
-    sums = (0.0, 0.0, 0.0, np.zeros((ds.p, ds.p + 2)))
-    for block in _row_map(ds, _block_sums, p.beta, theta, tables):
-        sums = [total + part for total, part in zip(sums, block)]
-    ll, score_theta, h_tt, cross = sums
+    ll, score_theta, h_tt, cross = (sum(parts) for parts in zip(
+        *_row_map(ds, _block_sums, p.beta, theta, tables)))
     h_bb = -cross[:, 2:]
     return GradHess(loglik=ll, score_beta=cross[:, 0].copy(), score_theta=score_theta,
                     h_bb=0.5 * (h_bb + h_bb.T), h_bt=-cross[:, 1], h_tt=h_tt)
 
 
-def _block_sums(state, blocks, beta, theta: float, tables) -> list:
-    """(log-likelihood, score_theta, h_tt, X_b' [a, lam a r, w X_b]) of each
-    row block of (y, X) = state, from grad_hess's tables, indexed by the
+def _block_sums(state, s, beta, theta: float, tables) -> tuple:
+    """(log-likelihood, score_theta, h_tt, X_b' [a, lam a r, w X_b]) of the
+    row block s of (y, X) = state, from grad_hess's tables, indexed by the
     counts or, past LARGE_COUNT_SWITCH, by their place among the distinct
-    counts, the last table.  A block's link is evaluated and its
+    counts, the last table.  The block's link is evaluated and its
     largest mean and count range-checked; r = 1/(1+t) and a = (y - lam) r
     are shared by all six sums, and w is the h_bb weight lam (1 + theta y)
     r^2.  The log-likelihood is loglik's."""
-    y, X = state
-    log_sums, weights, recip, distinct = tables
+    (y, X), (log_sums, weights, recip, distinct) = state, tables
     u = 1.0 / theta
     u2, u3 = u * u, u * u * u
-    sums = []
-    # Arrays are deleted once spent: one block's scratch is all that is held.
-    for s in blocks:
-        key = _table_keys(y[s], distinct)
-        X_b, y_b = X[s], y[s].astype(float)
-        link = link_mean(X_b, beta, s.start)
-        lam_b = link.lam
-        _require_finite_range(theta, float(lam_b.max()), float(y_b.max()))
-        t = theta * lam_b
-        log1p_t = np.log1p(t)
-        ll = _loglik_sum(y_b, link.eta, theta, log1p_t, log_sums[key])
-        r = 1.0 / (1.0 + t)
-        resid = y_b - lam_b
-        del link
-        h_tt = float(np.sum(u3 * weights[key]
-                            - u3 * _theta_bracket(resid, t, log1p_t, theta)))
-        a = resid * r
-        score_theta = float(np.sum(u2 * (log1p_t - recip[key]) + u * a))
-        w = lam_b * (1.0 + theta * y_b) * r * r
-        del y_b, t, log1p_t, resid
-        # Row-major: rows a, lam a r, then w times each column of X_b.
-        m = np.empty((len(X_b.T) + 2, len(a)))
-        m[0] = a
-        np.multiply(lam_b * a, r, out=m[1])
-        for j, column in enumerate(X_b.T):
-            np.multiply(column, w, out=m[2 + j])
-        sums.append((ll, score_theta, h_tt, X_b.T @ m.T))
-        del lam_b, r, a, w, m
-    return sums
+    key = _table_keys(y[s], distinct)
+    X_b, y_b = X[s], y[s].astype(float)
+    link = link_mean(X_b, beta, s.start)
+    lam_b = link.lam
+    _require_finite_range(theta, float(lam_b.max()), float(y_b.max()))
+    t = theta * lam_b
+    log1p_t = np.log1p(t)
+    ll = _loglik_sum(y_b, link.eta, theta, log1p_t, log_sums[key])
+    r = 1.0 / (1.0 + t)
+    resid = y_b - lam_b
+    del link  # arrays are deleted once spent, to bound a block's scratch
+    h_tt = float(np.sum(u3 * weights[key]
+                        - u3 * _theta_bracket(resid, t, log1p_t, theta)))
+    a = resid * r
+    score_theta = float(np.sum(u2 * (log1p_t - recip[key]) + u * a))
+    w = lam_b * (1.0 + theta * y_b) * r * r
+    del y_b, t, log1p_t, resid
+    # Row-major: rows a, lam a r, then w times each column of X_b.
+    m = np.empty((len(X_b.T) + 2, len(a)))
+    m[0] = a
+    np.multiply(lam_b * a, r, out=m[1])
+    for j, column in enumerate(X_b.T):
+        np.multiply(column, w, out=m[2 + j])
+    return ll, score_theta, h_tt, X_b.T @ m.T
 
 
 def finite_diff(f: Callable[[float], float], x0: float, h: float) -> float:

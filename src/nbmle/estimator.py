@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
 from .derivatives import GradHess, grad_hess
 from .exceptions import (
     AllZeroResponseError, CollinearColumnsError, DomainError,
@@ -89,60 +88,37 @@ class FitResult:
 
 def init_params(ds: Dataset) -> Params:
     """Starting values: log-count least squares for beta, method of moments
-    for theta, from passes over the rows in ds's workers when it has them.
+    for theta, from one pass over model._row_blocks in ds's workers, if any.
 
     R, the R factor of [X | ln(y + 0.5)], names the collinear columns, and
     beta0 solves R[:p, :p] beta0 = R[:p, p] by least squares, as X beta0 =
-    ln(y + 0.5) would.  theta0 = clamp((s^2 - ybar) / ybar^2, 0.01, 100),
-    from matching the NB2 variance ybar * (1 + theta * ybar) to the sample
-    variance.  ybar and s^2 are np.mean's and np.var's (ddof=1) bit for
-    bit while the sum of the counts is below 2**53 (see _pairwise).
+    ln(y + 0.5) would.  R is a blocked QR (TSQR; Demmel et al., SIAM J.
+    Sci. Comput. 2012): the blocks' R factors, stacked in order, factored
+    again, so the whole matrix is never copied.  theta0 = clamp((s^2 - ybar)
+    / ybar^2, 0.01, 100) matches the NB2 variance ybar (1 + theta ybar) to
+    the sample variance s^2 (ddof=1), which adds the blocks' sums of
+    (y - ybar)^2 in block order: ybar and s^2 are np.mean's and np.var's
+    bit for bit on one block while the sum of the counts is below 2**53.
     """
-    R, p = _r_factor(ds), ds.p
+    p, ybar = ds.p, float(ds.y_total) / ds.n
+    parts, squares = zip(*_row_map(ds, _r_factors, ybar))
+    R = parts[0] if len(parts) == 1 else np.linalg.qr(np.vstack(parts), mode="r")
     bad = _collinear_columns(R[:p, :p])
     if bad:
         raise CollinearColumnsError([ds.names[j] for j in bad])
     beta0, *_ = np.linalg.lstsq(R[:p, :p], R[:p, p], rcond=None)
-    ybar, s2 = float(ds.y_total) / ds.n, 0.0
-    if ds.n > 1:  # numpy's pairwise sum, its leaves summed in the workers
-        leaves = []
-        _pairwise(0, ds.n, lambda s: leaves.append(s) or 0.0)
-        sums = iter(_row_map(ds, _square_deviations, ybar, blocks=leaves))
-        s2 = _pairwise(0, ds.n, lambda s: next(sums)) / (ds.n - 1)
+    s2 = sum(squares) / (ds.n - 1) if ds.n > 1 else 0.0
     theta0 = (s2 - ybar) / (ybar * ybar) if ybar > 0.0 else 0.01
     theta0 = min(max(theta0, 0.01), 100.0)
     return Params(beta=beta0, theta=theta0)
 
 
-def _pairwise(start: int, m: int, leaf) -> float:
-    """The sum of leaf(s) over the slices s of rows that numpy's pairwise
-    summation of m terms from start cuts, in its order: halves cut at
-    m//2 - m//2 % 8, down to at most BLOCK_ROWS (or numpy's 128) terms,
-    which np.sum of a slice adds as the whole sum does."""
-    if m <= max(model.BLOCK_ROWS, 128):
-        return leaf(slice(start, start + m))
-    half = m // 2 - m // 2 % 8
-    return _pairwise(start, half, leaf) + _pairwise(start + half, m - half, leaf)
-
-
-def _square_deviations(state, leaves, ybar: float) -> list:
-    return [float(np.sum((state[0][s] - ybar) ** 2)) for s in leaves]
-
-
-def _r_factor(ds: Dataset) -> np.ndarray:
-    """The R factor of [X | ln(y + 0.5)], by a blocked QR (TSQR; Demmel et
-    al., SIAM J. Sci. Comput. 2012): the R factors of the row blocks of
-    model._row_blocks, in ds's workers when it has them, stacked in order
-    and factored once more, so no copy of the whole matrix is made.
-    """
-    parts = list(_row_map(ds, _r_factors))
-    return parts[0] if len(parts) == 1 else np.linalg.qr(np.vstack(parts), mode="r")
-
-
-def _r_factors(state, blocks) -> list:
-    y, X = state
-    return [np.linalg.qr(np.column_stack((X[s], np.log(y[s] + 0.5))), mode="r")
-            for s in blocks]
+def _r_factors(state, s, ybar: float) -> tuple:
+    """(The R factor of [X_b | ln(y_b + 0.5)], sum (y_b - ybar)^2) of the
+    row block s of (y, X) = state."""
+    y_b = state[0][s]
+    return (np.linalg.qr(np.column_stack((state[1][s], np.log(y_b + 0.5))), mode="r"),
+            float(np.sum((y_b - ybar) ** 2)))
 
 
 def _collinear_columns(R: np.ndarray) -> list:

@@ -171,29 +171,26 @@ def observed_info_from(gh: GradHess) -> InfoMatrix:
     return InfoMatrix(kind=InfoKind.OBSERVED, m=m)
 
 
-def _expected_blocks(state, blocks, beta, theta: float, eps_tail: float) -> list:
-    """Per row block of (y, X) = state, from its one link: (X_b' diag(lam/(1+t))
-    X_b; its rows' u^3 (smooth - sum_j w_j Pr(Y >= j)), u^3 (smooth - sum_j
-    w_j Pr(Y >= j+1)) and brute-force values; their cutoffs; their tail
-    bounds), with t = theta*lam, smooth = 2 ln(1+t) - t/(1+t), u = 1/theta."""
+def _expected_blocks(state, s, beta, theta: float, eps_tail: float) -> tuple:
+    """From the one link of the row block s of (y, X) = state: (X_b'
+    diag(lam/(1+t)) X_b; its rows' u^3 (smooth - sum_j w_j Pr(Y >= j)),
+    u^3 (smooth - sum_j w_j Pr(Y >= j+1)) and brute-force values; their
+    cutoffs; their tail bounds), with t = theta*lam, smooth = 2 ln(1+t) -
+    t/(1+t), u = 1/theta."""
     u = 1.0 / theta
-    u3 = u * u * u
-    out = []
-    for s in blocks:
-        X_b = state[1][s]
-        lam = link_mean(X_b, beta, s.start).lam
-        series, bounds = np.empty((3, lam.size)), np.empty(lam.size)
-        cutoffs = np.empty(lam.size, np.int64)
-        for chunk in _pmf_chunks(lam, theta, eps_tail):
-            series[:, chunk.rows] = _theta_series(lam, theta, chunk)
-            cutoffs[chunk.rows], bounds[chunk.rows] = chunk.cutoffs, chunk.bounds
-        t = theta * lam
-        # math.log1p: np.log1p may differ from it in the last place, which
-        # u3 * (smooth - sum) magnifies.
-        smooth = 2.0 * np.array([math.log1p(v) for v in t.tolist()]) - t / (1.0 + t)
-        series[:2] = u3 * (smooth - series[:2])
-        out.append(((X_b.T * (lam / (1.0 + t))) @ X_b, series, cutoffs, bounds))
-    return out
+    X_b = state[1][s]
+    lam = link_mean(X_b, beta, s.start).lam
+    series, bounds = np.empty((3, lam.size)), np.empty(lam.size)
+    cutoffs = np.empty(lam.size, np.int64)
+    for chunk in _pmf_chunks(lam, theta, eps_tail):
+        series[:, chunk.rows] = _theta_series(lam, theta, chunk)
+        cutoffs[chunk.rows], bounds[chunk.rows] = chunk.cutoffs, chunk.bounds
+    t = theta * lam
+    # math.log1p: np.log1p may differ from it in the last place, which
+    # u^3 (smooth - sum) magnifies.
+    smooth = 2.0 * np.array([math.log1p(v) for v in t.tolist()]) - t / (1.0 + t)
+    series[:2] = u * u * u * (smooth - series[:2])
+    return (X_b.T * (lam / (1.0 + t))) @ X_b, series, cutoffs, bounds
 
 
 def expected_info(ds: Dataset, p: Params,

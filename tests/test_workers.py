@@ -210,7 +210,7 @@ class TestLargeCountPath:
         sizes, mapped = [], Workers.map
 
         def recorded(self, fn, tasks, *args):
-            if fn is derivatives._block_sums:
+            if fn is model._run_blocks and args[0] is derivatives._block_sums:
                 sizes.append(len(pickle.dumps(args)))
             return mapped(self, fn, tasks, *args)
 
@@ -220,6 +220,31 @@ class TestLargeCountPath:
             derivatives.grad_hess(Dataset(y, X, workers=workers),
                                   Params(np.array([1.0, 0.1]), 0.5))
         assert len(sizes) == 1 and sizes[0] < 20_000
+
+
+def test_loglik_runs_in_the_workers(monkeypatch):
+    """loglik maps its row blocks over four workers, to the sum of the
+    same blocks here, bit for bit."""
+    many_cpus(monkeypatch)
+    n = 3 * BLOCK_ROWS + 5
+    ds = simulate_dataset(6, n, [0.1, 0.3, -0.2], 0.6)
+    y, X = shared_empty(n, np.int64), shared_empty(ds.X.shape, float)
+    y[:], X[:] = ds.y, ds.X
+    p = Params(np.array([0.1, 0.3, -0.2]), 0.6)
+    tasks, mapped = [], Workers.map
+
+    def recorded(self, fn, runs, *args):
+        tasks.append(len(runs))
+        return mapped(self, fn, runs, *args)
+
+    with Workers() as workers:
+        workers.fork((y, X), 4)
+        pooled = Dataset(y, X, workers=workers)
+        monkeypatch.setattr(Workers, "map", recorded)
+        ll = model.loglik(pooled, p)
+        assert workers.count == 4
+    assert tasks == [4]
+    assert ll == model.loglik(ds, p)
 
 
 class TestSameOutputOnAnyCpuCount:
