@@ -22,7 +22,8 @@ the series are evaluated a chunk at a time.  Both conventions are suffix
 sums of a row and the brute-force negative Hessian weights the same row;
 each is one left-to-right sum along a row, and a row's table is zero past
 its cutoff, so each observation's values are those of its one-row call,
-whatever the width of its chunk or its block.
+whatever its chunk or block.  The totals add each block's rows left to
+right, then the blocks in order, as every sum over the rows does.
 
 Standard errors default to the observed information (the negative analytic
 Hessian), which needs no infinite sums at fit time; the expected matrix is
@@ -32,7 +33,6 @@ available behind a flag.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -173,10 +173,10 @@ def observed_info_from(gh: GradHess) -> InfoMatrix:
 
 def _expected_blocks(state, s, beta, theta: float, eps_tail: float) -> tuple:
     """From the one link of the row block s of (y, X) = state: (X_b'
-    diag(lam/(1+t)) X_b; its rows' u^3 (smooth - sum_j w_j Pr(Y >= j)),
-    u^3 (smooth - sum_j w_j Pr(Y >= j+1)) and brute-force values; their
-    cutoffs; their tail bounds), with t = theta*lam, smooth = 2 ln(1+t) -
-    t/(1+t), u = 1/theta."""
+    diag(lam/(1+t)) X_b; the totals over its rows, added left to right, of
+    u^3 (smooth - sum_j w_j Pr(Y >= j)), u^3 (smooth - sum_j w_j Pr(Y >= j+1))
+    and the brute-force values; its rows' cutoffs; their tail bounds), with
+    t = theta*lam, smooth = 2 ln(1+t) - t/(1+t), u = 1/theta."""
     u = 1.0 / theta
     X_b = state[1][s]
     lam = link_mean(X_b, beta, s.start).lam
@@ -190,7 +190,7 @@ def _expected_blocks(state, s, beta, theta: float, eps_tail: float) -> tuple:
     # u^3 (smooth - sum) magnifies.
     smooth = 2.0 * np.array([math.log1p(v) for v in t.tolist()]) - t / (1.0 + t)
     series[:2] = u * u * u * (smooth - series[:2])
-    return (X_b.T * (lam / (1.0 + t))) @ X_b, series, cutoffs, bounds
+    return (X_b.T * (lam / (1.0 + t))) @ X_b, _row_sums(series), cutoffs, bounds
 
 
 def expected_info(ds: Dataset, p: Params,
@@ -201,15 +201,14 @@ def expected_info(ds: Dataset, p: Params,
     tail-index conventions, of which the brute-force pmf-weighted negative
     Hessian picks one.  After the theta conditions of
     derivatives._require_finite_range, one pass over model._row_blocks, in
-    ds's workers if it has them; the beta blocks are added in block order."""
+    ds's workers if it has them; the beta blocks and the theta totals, each
+    block's rows added left to right, are added in block order."""
     _require_finite_range(p.theta)
-    beta_blocks, series, cutoffs, bounds = zip(
+    beta_blocks, totals, cutoffs, bounds = zip(
         *_row_map(ds, _expected_blocks, p.beta, p.theta, eps_tail))
     m = np.zeros((ds.p + 1, ds.p + 1))
-    m[:-1, :-1] = functools.reduce(np.add, beta_blocks)
-    # Added up one row at a time in row order, as each row's series is: the
-    # totals keep the rounding of a running sum over the observations.
-    total_a, total_b, total_bf = _row_sums(np.concatenate(series, axis=1)).tolist()
+    m[:-1, :-1] = sum(beta_blocks)
+    total_a, total_b, total_bf = sum(totals).tolist()
     if abs(total_b - total_bf) <= abs(total_a - total_bf):
         chosen, m[-1, -1] = "survivor_at_j_plus_1", total_b
     else:

@@ -278,14 +278,12 @@ class PmfChunk(NamedTuple):
     bounds: np.ndarray
 
 
-def _cap_error(lam: float, theta: float, hard_cap: int) -> TruncationCapExceeded:
-    return TruncationCapExceeded(
-        f"series not converged within {hard_cap} terms (lam={lam}, theta={theta})"
-    )
+def _cap_error(lam: float, theta: float) -> TruncationCapExceeded:
+    return TruncationCapExceeded(f"series not converged within {TRUNCATION_HARD_CAP}"
+                                 f" terms (lam={lam}, theta={theta})")
 
 
-def _pmf_chunks(lam, theta: float, eps_tail: float = DEFAULT_EPS_TAIL,
-                hard_cap: int = TRUNCATION_HARD_CAP):
+def _pmf_chunks(lam, theta: float, eps_tail: float = DEFAULT_EPS_TAIL):
     """Yield the certified pmf table of every mean in lam, as PmfChunks.
 
     ln pmf is the cumulative sum of ln rho_y, where
@@ -302,14 +300,14 @@ def _pmf_chunks(lam, theta: float, eps_tail: float = DEFAULT_EPS_TAIL,
     are evaluated again at twice the width.  Every operation acts on each
     row alone, so a row's table, cutoff and bound do not depend on the
     other rows.  TruncationCapExceeded, naming the row's mean, is raised
-    when a cutoff would pass hard_cap.
+    when a cutoff would pass TRUNCATION_HARD_CAP.
     """
     if eps_tail <= 0.0:
         raise DomainError("eps_tail must be positive")
     lam = np.asarray(lam, dtype=float).reshape(-1)
     floors = np.ceil(lam + 10.0 * np.sqrt(lam * (1.0 + theta * lam)))
-    if floors.max() > hard_cap:
-        raise _cap_error(float(lam[np.argmax(floors > hard_cap)]), theta, hard_cap)
+    if floors.max() > TRUNCATION_HARD_CAP:
+        raise _cap_error(float(lam[np.argmax(floors > TRUNCATION_HARD_CAP)]), theta)
     floors = floors.astype(np.int64)
     order = np.argsort(floors, kind="stable")
     widths = (floors[order] + 1).tolist()
@@ -333,9 +331,9 @@ def _pmf_chunks(lam, theta: float, eps_tail: float = DEFAULT_EPS_TAIL,
         if chunk is not None:
             yield chunk
         if pending.size:
-            if width > hard_cap:
-                raise _cap_error(float(lam[pending.min()]), theta, hard_cap)
-            width = min(2 * width, hard_cap + 1)
+            if width > TRUNCATION_HARD_CAP:
+                raise _cap_error(float(lam[pending.min()]), theta)
+            width = min(2 * width, TRUNCATION_HARD_CAP + 1)
             step = max(1, _CHUNK_ENTRIES // width)
             work.extend((pending[j:j + step], width)
                         for j in range(0, pending.size, step))
@@ -374,10 +372,9 @@ def _pmf_block(rows, r, log_pmf0, starts, width, alpha, eps_tail):
     return PmfChunk(rows[done], pmf, cutoffs, bounds), pending
 
 
-def _pmf_table(lam: float, theta: float, eps_tail: float = DEFAULT_EPS_TAIL,
-               hard_cap: int = TRUNCATION_HARD_CAP):
+def _pmf_table(lam: float, theta: float, eps_tail: float = DEFAULT_EPS_TAIL):
     """(pmf(0..J-1) as an array, the cutoff J, a certified bound on Pr(Y >= J))
     for one mean: the one-row case of _pmf_chunks."""
-    (chunk,) = _pmf_chunks([lam], theta, eps_tail, hard_cap)
+    (chunk,) = _pmf_chunks([lam], theta, eps_tail)
     cutoff = int(chunk.cutoffs[0])
     return chunk.pmf[0, :cutoff], cutoff, float(chunk.bounds[0])

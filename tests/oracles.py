@@ -15,7 +15,7 @@ import numpy as np
 
 from nbmle import Dataset, DomainError, Params, link_mean
 from nbmle.derivatives import _theta_bracket
-from nbmle.model import DEFAULT_EPS_TAIL, TRUNCATION_HARD_CAP, _pmf_table
+from nbmle.model import DEFAULT_EPS_TAIL, _pmf_table
 from nbmle.special import (
     _finite_sums,
     _gamma_diff,
@@ -128,16 +128,17 @@ class TruncatedSum:
     weight_sum: float
 
 
-def truncated_pmf_sum(f, lam: float, theta: float, eps_tail: float = DEFAULT_EPS_TAIL,
-                      hard_cap: int = TRUNCATION_HARD_CAP) -> TruncatedSum:
+def truncated_pmf_sum(f, lam: float, theta: float,
+                      eps_tail: float = DEFAULT_EPS_TAIL) -> TruncatedSum:
     """sum_y f(y) * pmf(y) over the counts y < J of the pmf table.
 
     J is the table's cutoff and tail_bound its certified bound on the
     neglected mass Pr(Y >= J).  f is called once per count with a Python
-    int.  Raises TruncationCapExceeded when J would pass hard_cap.
+    int.  Raises TruncationCapExceeded when J would pass
+    model.TRUNCATION_HARD_CAP.
     """
     lam = _require_positive(lam, "lam")
     theta = _require_positive(theta, "theta")
-    pmf, cutoff, bound = _pmf_table(lam, theta, eps_tail, hard_cap)
+    pmf, cutoff, bound = _pmf_table(lam, theta, eps_tail)
     values = np.fromiter((f(y) for y in range(cutoff)), float, cutoff)
     return TruncatedSum(float(np.sum(values * pmf)), cutoff, bound, float(np.sum(pmf)))

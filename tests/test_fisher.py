@@ -285,8 +285,8 @@ class TestBatchedSeries:
 
 class TestExpectedInfoBlocked:
     """expected_info is one pass over model._row_blocks: no link over more
-    rows than a block, and the same report and theta element whatever the
-    blocks."""
+    rows than a block, and whatever the blocks the same cutoffs, bounds and
+    chosen convention; the totals, added block by block, agree to rounding."""
 
     def test_no_link_spans_more_than_a_block(self, monkeypatch):
         ds = simulate_dataset(5, 3 * model.BLOCK_ROWS + 5, [0.4, -0.3], 0.7)
@@ -305,8 +305,13 @@ class TestExpectedInfoBlocked:
         whole = expected_info(ds, p)
         monkeypatch.setattr(model, "BLOCK_ROWS", 64)
         blocked = expected_info(ds, p)
-        assert blocked.truncation == whole.truncation
-        assert blocked.m[-1, -1] == whole.m[-1, -1]
+        report, whole_report = vars(blocked.truncation), vars(whole.truncation)
+        for key in ("eps_tail", "cutoffs", "tail_bounds", "chosen"):
+            assert report[key] == whole_report[key]
+        for key in ("survivor_at_j_total", "survivor_at_j_plus_1_total",
+                    "brute_force_total"):
+            assert report[key] == pytest.approx(whole_report[key], rel=1e-13, abs=0)
+        assert blocked.m[-1, -1] == pytest.approx(whole.m[-1, -1], rel=1e-13, abs=0)
         np.testing.assert_array_equal(blocked.m[:-1, -1], 0.0)
         np.testing.assert_allclose(blocked.m[:-1, :-1], whole.m[:-1, :-1],
                                    rtol=1e-13, atol=0)

@@ -223,9 +223,10 @@ class TestTruncatedSum:
         res = truncated_pmf_sum(lambda y: 1.0, 5.0, 1.0)
         assert res.cutoff >= 5.0 + 10.0 * math.sqrt(5.0 * 6.0)
 
-    def test_hard_cap_raises(self):
+    def test_hard_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(model, "TRUNCATION_HARD_CAP", 3)
         with pytest.raises(TruncationCapExceeded):
-            truncated_pmf_sum(lambda y: 1.0, 1.0, 1.0, eps_tail=1e-12, hard_cap=3)
+            truncated_pmf_sum(lambda y: 1.0, 1.0, 1.0, eps_tail=1e-12)
 
     def test_mean_identity(self):
         res = truncated_pmf_sum(lambda y: float(y), 2.0, 0.5)
@@ -311,13 +312,15 @@ class TestBatchedPmfTable:
                 np.testing.assert_array_equal(c.pmf[k, :cutoff], pmf)
                 assert not c.pmf[k, cutoff:].any()
 
-    def test_floor_past_hard_cap_names_the_row(self):
+    def test_floor_past_hard_cap_names_the_row(self, monkeypatch):
+        monkeypatch.setattr(model, "TRUNCATION_HARD_CAP", 10_000)
         with pytest.raises(TruncationCapExceeded, match=r"lam=2000\.0, theta=5\.0"):
-            list(_pmf_chunks(np.array([1.0, 2e3, 5.0]), 5.0, hard_cap=10_000))
+            list(_pmf_chunks(np.array([1.0, 2e3, 5.0]), 5.0))
 
     def test_cutoff_past_hard_cap_names_the_row(self, monkeypatch):
         # The floor of lam=2000 (46,724) is inside the cap, its cutoff is not.
         passes = self._passes(monkeypatch)
+        monkeypatch.setattr(model, "TRUNCATION_HARD_CAP", 100_000)
         with pytest.raises(TruncationCapExceeded, match=r"lam=2000\.0, theta=5\.0"):
-            list(_pmf_chunks(np.array([1.0, 2e3, 5.0]), 5.0, hard_cap=100_000))
+            list(_pmf_chunks(np.array([1.0, 2e3, 5.0]), 5.0))
         assert max(width for _, width, _ in passes) == 100_001

@@ -427,6 +427,27 @@ class TestExpectedInfoInWorkers:
         assert np.array_equal(pooled.m, here.m)
         assert pooled.truncation == here.truncation
 
+    def test_blocks_return_three_totals(self, monkeypatch):
+        """Each block hands back its rows' three theta totals, not their
+        series, and the blocks' sum is the same in the workers and here."""
+        many_cpus(monkeypatch)
+        ds = simulate_dataset(5, 3 * BLOCK_ROWS + 5, [0.4, -0.3], 0.7)
+        y, X = shared_empty(ds.n, np.int64), shared_empty((ds.n, 2), float)
+        y[:], X[:] = ds.y, ds.X
+        p = Params(np.array([0.4, -0.3]), 0.7)
+        with Workers() as workers:
+            workers.fork((y, X), 4)
+            assert workers.count == 4
+            pooled = Dataset(y, X, workers=workers)
+            blocks = model._row_map(pooled, fisher._expected_blocks, p.beta, p.theta,
+                                    model.DEFAULT_EPS_TAIL)
+            info = fisher.expected_info(pooled, p)
+        assert len(blocks) == 4
+        for _, totals, cutoffs, _ in blocks:
+            assert totals.shape == (3,) and cutoffs.size > 3
+        here = fisher.expected_info(Dataset(y.copy(), X.copy()), p)
+        assert np.array_equal(info.m, here.m) and info.truncation == here.truncation
+
     def test_late_block_overflow_names_its_row(self, monkeypatch):
         workers, datasets = self.datasets(monkeypatch, row=257)
         with workers:
